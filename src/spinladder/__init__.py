@@ -36,7 +36,14 @@ from .floquet import (
     solvable_point_spectrum_2x2,
     spacing_stats,
 )
-from .lattice import DEFAULT_SITE_CAP, Bond, Lattice, SizeCapError, make_lattice
+from .lattice import (
+    DEFAULT_SITE_CAP,
+    DENSE_SITE_CAP,
+    Bond,
+    Lattice,
+    SizeCapError,
+    make_lattice,
+)
 from .majorana import (
     DictionaryReport,
     MajoranaMode,
@@ -49,7 +56,7 @@ from .majorana import (
     mode_residual,
     verify_dictionary,
 )
-from .pauli import DENSE_SITE_CAP, PauliString, basis_state
+from .pauli import PauliString, basis_state
 from .transfer1d import (
     MpmSolution,
     PbcLineCheck,

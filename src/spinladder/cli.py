@@ -23,7 +23,13 @@ import tempfile
 from dataclasses import replace
 from typing import Any, Callable, Sequence
 
-from .dynamics import evolve_stroboscopic, power_spectrum, prepare_state, scan_subharmonic
+from .dynamics import (
+    evolve_stroboscopic,
+    one_flip,
+    power_spectrum,
+    prepare_state,
+    scan_subharmonic,
+)
 from .floquet import (
     DriveParams,
     NumericalToleranceError,
@@ -181,13 +187,10 @@ def parse_init(token: Any) -> Any:
         except ValueError as exc:
             raise ConfigError(f"bad flip position in {token!r}") from exc
         def build(lattice: Lattice) -> tuple[str, ...]:
-            if not 0 <= position < lattice.n_sites:
-                raise ConfigError(
-                    f"flip position {position} outside 0..{lattice.n_sites - 1}"
-                )
-            spec = ["up"] * lattice.n_sites
-            spec[position] = "down"
-            return tuple(spec)
+            try:
+                return one_flip(lattice.n_sites, position)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         return build
     if token.startswith("tilt:"):
         try:

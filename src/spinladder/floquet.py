@@ -11,6 +11,9 @@ computational basis and the kick factorizes over sites, which gives a
 matrix-free apply() costing O((N + 1) 2**N) per period.
 
 Quasienergies are eps = -arg(lambda) / T folded into (-pi/T, pi/T].
+The spectrum is computed sector by sector: the global spin flip and the
+lattice translations commute with U and split it into small blocks
+before any dense factorization.
 """
 
 from __future__ import annotations
@@ -21,11 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .lattice import Lattice, SizeCapError
-
-# Dense propagators above this size exceed laptop memory; keep in sync
-# with the Pauli realization cap.
-DENSE_SITE_CAP = 13
+from .lattice import DENSE_SITE_CAP, Lattice, SizeCapError
 
 #: eigenpair quality demanded of diagonalize()
 RESIDUAL_TOL = 1e-10
@@ -191,39 +190,161 @@ class QuasienergySpectrum:
         return self.quasienergies.size
 
 
-def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
-    """Schur-based eigendecomposition of the dense propagator.
+@dataclass(frozen=True)
+class SymmetryGroup:
+    """Abelian symmetry group of the propagator, acting on basis indices.
 
-    A unitary matrix is normal, so its complex Schur form is diagonal to
-    machine precision and the Schur basis is orthonormal even inside
-    degenerate clusters (plain eigensolvers lose orthogonality there).
-    Residuals come from the strict upper triangle of the Schur factor,
-    which equals ||U v_n - lambda_n v_n|| up to LAPACK backward error.
+    The group is a product of cyclic factors of the given ``orders``:
+    the global spin flip P = prod_k X_k (order 2) first, then each
+    accepted lattice translation.  Element e, numbered in C order over
+    the exponent tuple (e_1, e_2, ...), maps basis index b to
+    ``images[e, b]``; its character in sector k is
+    exp(2 pi i sum_j k_j e_j / orders_j), with sectors numbered like
+    the elements.
+    """
+
+    orders: tuple[int, ...]
+    images: np.ndarray
+
+    @property
+    def order(self) -> int:
+        return self.images.shape[0]
+
+    def characters(self) -> np.ndarray:
+        """(sector, element) table of the group characters."""
+        # sectors and elements share one numbering of the exponent tuples
+        exps = np.indices(self.orders).reshape(len(self.orders), -1)
+        turns = sum(np.outer(e, e) % n / n for e, n in zip(exps, self.orders))
+        return np.exp(2j * np.pi * turns)
+
+
+def symmetry_group(lattice: Lattice) -> SymmetryGroup:
+    """The spin flip and the lattice translations as basis permutations.
+
+    P maps index b to b ^ (2**N - 1), which commutes with U because the
+    kick is uniform and every Z_a Z_b phase is flip invariant.  A site
+    permutation sigma maps b to sum_k bit_k(b) << sigma(k); the lattice
+    supplies only translations that preserve the bond set, so each one
+    commutes with both halves of the drive.
+    """
+    dim = lattice.dim
+    idx = np.arange(dim)
+    generators = [(idx ^ (dim - 1), 2)]
+    for translation in lattice.translations():
+        moved = np.zeros(dim, dtype=idx.dtype)
+        for k, target in enumerate(translation.sites):
+            moved |= ((idx >> k) & 1) << target
+        generators.append((moved, translation.order))
+    images = idx[np.newaxis, :]
+    for perm, order in generators:
+        powers = [images]
+        for _ in range(order - 1):
+            powers.append(perm[powers[-1]])
+        images = np.stack(powers, axis=1).reshape(-1, dim)
+    return SymmetryGroup(orders=tuple(n for _, n in generators), images=images)
+
+
+def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
+    """Eigendecomposition of the propagator, one symmetry sector at a time.
+
+    Sectors: the group of ``symmetry_group`` (global spin flip plus the
+    translations the lattice admits; nothing is configured) commutes
+    with U.  Each basis state belongs to an orbit, represented by its
+    smallest image r.  In sector k the state
+
+        |r, k> = sum_g conj(chi_k(g)) |g r> / sqrt(|G| S_r),
+
+    with stabilizer sum S_r = sum over g fixing r of chi_k(g), exists
+    when S_r != 0.  The block
+
+        U_k[a, b] = <r_a, k| U |r_b, k>
+                  = sum_g conj(chi_k(g)) U[r_a, g r_b] / sqrt(S_a S_b)
+
+    is gathered from the dense U, at D**2 total cost, and factorized on
+    its own; the sector bases are orthonormal and jointly complete, so
+    embedding the block eigenvectors gives a full-basis unitary V.
+
+    Each block goes through a complex Schur decomposition.  A unitary
+    block is normal, so its Schur form is diagonal to machine precision
+    and the Schur basis is orthonormal even inside degenerate clusters
+    (plain eigensolvers lose orthogonality there).  Per block, the
+    eigenvalue moduli must lie within RESIDUAL_TOL of 1, and the column
+    norms of the strict upper triangle, which equal the block residuals
+    ||U_k q - lambda q|| up to LAPACK backward error, within
+    RESIDUAL_TOL.  Because the embedding is an isometry that intertwines
+    U with its blocks, a block residual is also the full-basis residual
+    ||U v_n - lambda_n v_n|| of the embedded vector.
+
+    Levels of all sectors are sorted together by quasienergy (stable,
+    so ties keep sector order).
     """
     if op.dense is None:
         raise ValueError(
             "diagonalize needs a dense propagator; rebuild with materialize_dense=True"
         )
-    t_mat, q_mat = scipy.linalg.schur(np.asarray(op.dense), output="complex")
-    lam = np.diag(t_mat).copy()
+    u = np.asarray(op.dense)
+    dim = u.shape[0]
+    group = symmetry_group(op.lattice)
+    images = group.images
+    chars = group.characters()
 
-    modulus_dev = np.abs(np.abs(lam) - 1.0)
-    if modulus_dev.max() > RESIDUAL_TOL:
-        raise NumericalToleranceError(
-            f"eigenvalue modulus deviates from 1 by {modulus_dev.max():.3e}"
-        )
-    residuals = np.linalg.norm(np.triu(t_mat, 1), axis=0)
-    if residuals.max() > RESIDUAL_TOL:
-        raise NumericalToleranceError(
-            f"worst eigenpair residual {residuals.max():.3e} exceeds {RESIDUAL_TOL:.1e}"
-        )
+    reps, orbit = np.unique(images.min(axis=0), return_inverse=True)
+    fixed = images[:, reps] == reps
+    # S_r per sector: the stabilizer size when chi is trivial on it, else 0
+    stab_sums = np.rint((chars @ fixed).real)
+    # gathered[g, a, b] = U[r_a, g(r_b)]
+    gathered = u[reps[np.newaxis, :, np.newaxis], images[:, reps][:, np.newaxis, :]]
+    blocks = np.einsum("kg,gab->kab", chars.conj(), gathered)
+
+    sectors, lam_parts, residual_parts = [], [], []
+    for k in range(group.order):
+        keep = stab_sums[k] > 0
+        if not keep.any():
+            continue
+        norm = np.sqrt(stab_sums[k, keep])
+        block = blocks[k][np.ix_(keep, keep)] / np.outer(norm, norm)
+        t_mat, q_mat = scipy.linalg.schur(block, output="complex")
+        lam = np.diag(t_mat).copy()
+        modulus_dev = np.abs(np.abs(lam) - 1.0)
+        if modulus_dev.max() > RESIDUAL_TOL:
+            raise NumericalToleranceError(
+                f"eigenvalue modulus deviates from 1 by {modulus_dev.max():.3e} "
+                f"in sector {k}"
+            )
+        residuals = np.linalg.norm(np.triu(t_mat, 1), axis=0)
+        if residuals.max() > RESIDUAL_TOL:
+            raise NumericalToleranceError(
+                f"worst eigenpair residual {residuals.max():.3e} exceeds "
+                f"{RESIDUAL_TOL:.1e} in sector {k}"
+            )
+        sectors.append((k, keep, q_mat))
+        lam_parts.append(lam)
+        residual_parts.append(residuals)
 
     period = op.params.period
+    lam = np.concatenate(lam_parts)
+    residuals = np.concatenate(residual_parts)
     eps = fold_quasienergy(-np.angle(lam) / period, period)
     order = np.argsort(eps, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+
+    # Embedding: state b = g r of orbit r has amplitude
+    # sum_{g' r = b} conj(chi(g')) / sqrt(|G| S_r) = conj(chi(g)) sqrt(|stab r| / |G|)
+    # in |r, k>, since chi is constant on the coset g * stab(r).
+    carrier = np.argmax(images[:, reps[orbit]] == np.arange(dim), axis=0)
+    weight = np.sqrt(fixed.sum(axis=0)[orbit] / group.order)
+    vectors = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for k, keep, q_mat in sectors:
+        cols = slot[start:start + q_mat.shape[1]]
+        start += q_mat.shape[1]
+        rows = np.flatnonzero(keep[orbit])
+        coef = chars[k, carrier[rows]].conj() * weight[rows]
+        position = np.cumsum(keep) - 1
+        vectors[np.ix_(rows, cols)] = coef[:, np.newaxis] * q_mat[position[orbit[rows]]]
 
     eps = np.ascontiguousarray(eps[order])
-    vectors = np.ascontiguousarray(q_mat[:, order])
     lam = np.ascontiguousarray(lam[order])
     residuals = np.ascontiguousarray(residuals[order])
     for arr in (eps, vectors, lam, residuals):

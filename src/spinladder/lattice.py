@@ -23,6 +23,10 @@ from typing import NamedTuple
 
 DEFAULT_SITE_CAP = 20
 
+#: dense 2**N x 2**N realizations (propagators, Pauli matrices) are refused
+#: above this many sites; one complex matrix at 14 sites already needs 4 GiB
+DENSE_SITE_CAP = 13
+
 _BC_VALUES = ("open", "periodic")
 
 
@@ -40,6 +44,17 @@ class Bond(NamedTuple):
     a: int
     b: int
     axis: str
+
+
+class Translation(NamedTuple):
+    """One-site lattice translation as a site permutation.
+
+    ``sites[k]`` is the image of site ``k``; applying the translation
+    ``order`` times gives the identity.
+    """
+
+    sites: tuple[int, ...]
+    order: int
 
 
 @dataclass(frozen=True)
@@ -115,6 +130,34 @@ class Lattice:
                 for j in range(1, self.n_y + 1):
                     bonds.append(Bond(self.site_index(self.n_x, j), self.site_index(1, j), "x"))
         return bonds
+
+    def translations(self) -> tuple[Translation, ...]:
+        """One-site translations that map the bond set onto itself.
+
+        Each periodic direction with more than one site contributes its
+        translation (x first), provided it maps the multiset of bonds,
+        each with its axis, onto itself.  The comparison runs on
+        unordered bonds, so doubled wrap bonds (``dedup=False``) and
+        2-site rings are covered by the same test.
+        """
+
+        def key(bonds):
+            return sorted((min(a, b), max(a, b), axis) for a, b, axis in bonds)
+
+        n, n_y = self.n_sites, self.n_y
+        candidates = []
+        if self.bc_x == "periodic" and self.n_x > 1:
+            # column i -> i + 1 is a shift of the flat index by one column
+            candidates.append((self.n_x, tuple((k + n_y) % n for k in range(n))))
+        if self.bc_y == "periodic" and n_y > 1:
+            candidates.append((n_y, tuple(k - k % n_y + (k + 1) % n_y for k in range(n))))
+        reference = key(self.bonds)
+        out = []
+        for order, sites in candidates:
+            moved = [(sites[a], sites[b], axis) for a, b, axis in self.bonds]
+            if key(moved) == reference:
+                out.append(Translation(sites=sites, order=order))
+        return tuple(out)
 
 
 def make_lattice(

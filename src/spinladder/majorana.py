@@ -212,15 +212,12 @@ class SpectralFunctionConfig:
 
     chi: int
     window: float
-    sampling: str = "uniform-stride"
 
     def __post_init__(self) -> None:
         if self.chi < 1:
             raise ValueError("chi must be a positive integer")
         if self.window <= 0:
             raise ValueError("window must be positive")
-        if self.sampling != "uniform-stride":
-            raise ValueError(f"unknown sampling rule {self.sampling!r}")
 
 
 @dataclass(frozen=True)

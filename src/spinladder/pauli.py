@@ -18,10 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SizeCapError
-
-# Dense realizations above this many sites would need >= 16 GB; refuse.
-DENSE_SITE_CAP = 13
+from .lattice import DENSE_SITE_CAP, SizeCapError
 
 _ALLOWED_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -172,16 +169,6 @@ class PauliString:
     def __str__(self) -> str:
         pretty = {1 + 0j: "+", -1 + 0j: "-", 1j: "+i", -1j: "-i"}[self.phase]
         return f"{pretty}{self.label()}"
-
-
-def pauli_mul(left: PauliString, right: PauliString) -> PauliString:
-    """Exact product of two strings (functional form of ``left * right``)."""
-    return left * right
-
-
-def apply_pauli(op: PauliString, state: np.ndarray) -> np.ndarray:
-    """Apply a string to a state vector without materializing a matrix."""
-    return op.apply(state)
 
 
 def basis_state(n_sites: int, index: int = 0) -> np.ndarray:

@@ -7,6 +7,9 @@ artifact, and compares against the library computed directly.
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,6 +286,10 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["spectrum", "--nx", "1", "--ny", "2"]) == 2
     # malformed init token
     assert cli.main(["dynamics", "--out", str(out), "--init", "wobble"]) == 2
+    # flip position outside the lattice
+    assert cli.main(
+        ["dynamics", "--out", str(out), "--nx", "1", "--ny", "2", "--init", "flip:2"]
+    ) == 2
     # malformed sizes list
     assert cli.main(["spacing-table", "--out", str(out), "--sizes", "4y2"]) == 2
     # unknown config keys
@@ -300,3 +307,28 @@ def test_exit_codes(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._COMMANDS, "spectrum", explode)
     assert cli.main(["spectrum", "--out", str(out), "--nx", "1", "--ny", "2"]) == 4
+
+
+def test_corner_spectral_independent_of_blas_threads(tmp_path):
+    """The 4x2 torus splits into 16 sectors of 16 states, so no step of
+    the corner scan depends on the BLAS thread count."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    artifacts = {}
+    for threads in ("1", "2"):
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [
+                sys.executable, "-m", "spinladder.cli", "corner-spectral",
+                "--out", "corner.csv", "--nx", "4", "--ny", "2",
+                "--bc-x", "periodic", "--bc-y", "periodic", "--dedup", "false",
+                "--jx", "0.05", "--jy", "0.6", "--chi", "16", "--window", "0.01",
+                "--values", "0.8",
+            ],
+            cwd=workdir, env=env, check=True, timeout=300,
+        )
+        artifacts[threads] = read_csv(workdir / "corner.csv")[2]
+    assert len(artifacts["1"]) == 1
+    assert artifacts["1"] == artifacts["2"]

@@ -18,6 +18,7 @@ from spinladder.floquet import (
     solvable_point_spectrum_1x4,
     solvable_point_spectrum_2x2,
     spacing_stats,
+    symmetry_group,
 )
 from spinladder.lattice import SizeCapError, make_lattice
 
@@ -117,6 +118,37 @@ def test_diagonalize_eigenrelation():
     assert direct.max() < 1e-10
     gram = spec.eigenvectors.conj().T @ spec.eigenvectors
     np.testing.assert_allclose(gram, np.eye(lat.dim), atol=1e-12)
+
+
+def dense_schur_quasienergies(op):
+    """Reference spectrum: one complex Schur of the full dense propagator."""
+    t_mat, _ = scipy.linalg.schur(np.asarray(op.dense), output="complex")
+    period = op.params.period
+    return np.sort(fold_quasienergy(-np.angle(np.diag(t_mat)) / period, period))
+
+
+@pytest.mark.parametrize(
+    "bc,dedup", [("open", True), ("periodic", True), ("periodic", False)]
+)
+@pytest.mark.parametrize(
+    "n_x,n_y", [(2, 2), (3, 2), (4, 2), (5, 2), (1, 4), (1, 6), (1, 8), (1, 10)]
+)
+def test_sector_spectrum_matches_dense_schur(n_x, n_y, bc, dedup):
+    lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc, dedup_coincident_bonds=dedup)
+    params = DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0)
+    op = build_floquet(lat, params, materialize_dense=True)
+    spec = diagonalize(op)
+
+    # spin flip only on open lattices; one translation per periodic site
+    expected_order = 2 * (lat.n_sites if bc == "periodic" else 1)
+    assert symmetry_group(lat).order == expected_order
+    np.testing.assert_allclose(
+        spec.quasienergies, dense_schur_quasienergies(op), rtol=0, atol=1e-12
+    )
+    u = np.asarray(op.dense)
+    vecs = spec.eigenvectors
+    assert np.linalg.norm(u @ vecs - vecs * spec.eigenvalues) <= 1e-10
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(lat.dim)) <= 1e-10
 
 
 def test_identity_drive_spectrum_is_zero():

@@ -20,8 +20,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .dynamics import (
     evolve_stroboscopic,
@@ -84,19 +83,92 @@ _TASK_DEFAULTS: dict[str, dict[str, Any]] = {
 }
 
 
-def _merge_block(defaults: dict, override: Any, block: str) -> dict:
-    if override is None:
-        return dict(defaults)
-    if not isinstance(override, dict):
-        raise ConfigError(f"config block {block!r} must be an object")
-    unknown = set(override) - set(defaults)
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) in {block!r} block: {', '.join(sorted(unknown))}"
-        )
-    merged = dict(defaults)
-    merged.update(override)
-    return merged
+def _parse_float_list(text: str) -> list[float]:
+    if not text.strip():
+        return []
+    try:
+        return [float(piece) for piece in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad numeric list {text!r}") from exc
+
+
+def _parse_sizes(text: str) -> list[list[int]]:
+    sizes = []
+    for piece in text.split(","):
+        piece = piece.strip()
+        if not piece:
+            continue
+        parts = piece.lower().split("x")
+        if len(parts) != 2:
+            raise ConfigError(f"sizes entries look like 4x2, got {piece!r}")
+        try:
+            sizes.append([int(parts[0]), int(parts[1])])
+        except ValueError as exc:
+            raise ConfigError(f"bad size {piece!r}") from exc
+    return sizes
+
+
+class _Flag(NamedTuple):
+    """One flag and the config value it sets.
+
+    ``kind`` is the value's type or the tuple of values it may take (str
+    values are checked where they are read); ``parse`` reads list and
+    bool flag text.
+    """
+
+    name: str
+    block: str
+    key: str
+    kind: Any
+    help: str
+    parse: Callable[[str], Any] | None = None
+
+
+#: every config flag, in help order; a subcommand takes a task flag
+#: exactly when its task block has the flag's key
+_FLAGS: tuple[_Flag, ...] = (
+    _Flag("--out", "output", "path", str, "output path (overrides config)"),
+    _Flag("--format", "output", "format", ("csv", "json"), "output format"),
+    _Flag("--nx", "lattice", "n_x", int, "lattice extent along x"),
+    _Flag("--ny", "lattice", "n_y", int, "lattice extent along y"),
+    _Flag("--bc-x", "lattice", "bc_x", ("open", "periodic"), "x boundary condition"),
+    _Flag("--bc-y", "lattice", "bc_y", ("open", "periodic"), "y boundary condition"),
+    _Flag("--dedup", "lattice", "dedup", bool,
+          "drop coincident wrap bonds instead of doubling them", lambda text: text == "true"),
+    _Flag("--units", "drive", "units", ("pi_over_t", "raw"), "drive coupling units"),
+    _Flag("--jx", "drive", "j_x", float, "leg coupling"),
+    _Flag("--jy", "drive", "j_y", float, "rung coupling"),
+    _Flag("--h", "drive", "h", float, "kick field"),
+    _Flag("--period", "drive", "period", float, "drive period T"),
+    _Flag("--periods", "task", "periods", int, "number of drive periods M"),
+    _Flag("--init", "task", "init", str, "initial state: up | down | flip:K | tilt:X"),
+    _Flag("--axis", "task", "axis", float, "measurement axis angle from +z, radians"),
+    _Flag("--h-values", "task", "h_values", list,
+          "comma-separated kick fields, drive units (phase1d: angles, radians)", _parse_float_list),
+    _Flag("--chi", "task", "chi", int, "number of sampled eigenstates"),
+    _Flag("--window", "task", "window", float, "quasienergy window half-width"),
+    _Flag("--scan-param", "task", "scan_param", ("h", "j_y"), "swept coupling"),
+    _Flag("--values", "task", "values", list, "comma-separated scan values (drive units)",
+          _parse_float_list),
+    _Flag("--sizes", "task", "sizes", list, "comma-separated sizes, e.g. 2x2,3x2,1x8",
+          _parse_sizes),
+    _Flag("--j-values", "task", "j_values", list, "comma-separated coupling angles, radians",
+          _parse_float_list),
+)
+
+
+def _check_value(flag: _Flag, value: Any) -> None:
+    """Reject a config value of the wrong JSON type instead of coercing it."""
+    if isinstance(flag.kind, tuple):
+        ok = value in flag.kind
+    elif flag.kind in (int, float):
+        # bool is an int subclass, and a float key also takes JSON integers
+        ok = isinstance(value, (int, flag.kind)) and not isinstance(value, bool)
+    else:
+        ok = flag.kind is str or isinstance(value, flag.kind)
+    if not ok:
+        wanted = f"one of {flag.kind}" if isinstance(flag.kind, tuple) else flag.kind.__name__
+        raise ConfigError(f"{flag.block}.{flag.key} must be {wanted}, got {value!r}")
 
 
 def resolve_config(command: str, file_config: dict | None, overrides: dict) -> dict:
@@ -109,49 +181,50 @@ def resolve_config(command: str, file_config: dict | None, overrides: dict) -> d
     file_config = file_config or {}
     if not isinstance(file_config, dict):
         raise ConfigError("config file must contain a JSON object")
-    unknown = set(file_config) - {"lattice", "drive", "task", "output"}
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
-
     config = {
-        "lattice": _merge_block(_LATTICE_DEFAULTS, file_config.get("lattice"), "lattice"),
-        "drive": _merge_block(_DRIVE_DEFAULTS, file_config.get("drive"), "drive"),
-        "task": _merge_block(_TASK_DEFAULTS[command], file_config.get("task"), "task"),
-        "output": _merge_block(_OUTPUT_DEFAULTS, file_config.get("output"), "output"),
+        "lattice": dict(_LATTICE_DEFAULTS),
+        "drive": dict(_DRIVE_DEFAULTS),
+        "task": dict(_TASK_DEFAULTS[command]),
+        "output": dict(_OUTPUT_DEFAULTS),
     }
-    for block, values in overrides.items():
-        for key, value in values.items():
-            if key not in config[block]:
-                raise ConfigError(f"unknown {block} key {key!r}")
-            config[block][key] = value
-    if config["drive"]["units"] not in ("pi_over_t", "raw"):
-        raise ConfigError(
-            f"drive units must be 'pi_over_t' or 'raw', got {config['drive']['units']!r}"
-        )
-    if config["output"]["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {config['output']['format']!r}")
+    for source in (file_config, overrides):
+        unknown = set(source) - set(config)
+        if unknown:
+            raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
+        for block, values in source.items():
+            if not isinstance(values, dict):
+                raise ConfigError(f"config block {block!r} must be an object")
+            unknown = set(values) - set(config[block])
+            if unknown:
+                raise ConfigError(
+                    f"unknown key(s) in {block!r} block: {', '.join(sorted(unknown))}"
+                )
+            config[block].update(values)
+    for flag in _FLAGS:
+        if flag.key in config[flag.block]:
+            _check_value(flag, config[flag.block][flag.key])
     return config
 
 
-def resolve_lattice(config: dict) -> Lattice:
-    block = config["lattice"]
-    try:
-        return make_lattice(
-            int(block["n_x"]),
-            int(block["n_y"]),
-            bc_x=block["bc_x"],
-            bc_y=block["bc_y"],
-            dedup_coincident_bonds=bool(block["dedup"]),
-        )
-    except SizeCapError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad lattice block: {exc}") from exc
+def resolve_lattice(config: dict, **sizes: int) -> Lattice:
+    """Build the lattice block's lattice; keywords replace n_x or n_y."""
+    block = {**config["lattice"], **sizes}
+    return make_lattice(
+        block["n_x"],
+        block["n_y"],
+        bc_x=block["bc_x"],
+        bc_y=block["bc_y"],
+        dedup_coincident_bonds=block["dedup"],
+    )
 
 
-def resolve_drive(config: dict) -> DriveParams:
-    """Convert the drive block to raw couplings, applying units once."""
-    block = config["drive"]
+def resolve_drive(config: dict, **couplings: float) -> DriveParams:
+    """Convert the drive block to raw couplings, applying units once.
+
+    Keywords replace block values, given in the block's units, so each
+    scan point is converted exactly like the block itself.
+    """
+    block = {**config["drive"], **couplings}
     try:
         values = {k: float(block[k]) for k in ("j_x", "j_y", "h", "period")}
     except (TypeError, ValueError) as exc:
@@ -159,13 +232,6 @@ def resolve_drive(config: dict) -> DriveParams:
     if block["units"] == "pi_over_t":
         return DriveParams.from_pi_over_t(**values)
     return DriveParams(**values)
-
-
-def _coupling_to_raw(value: float, config: dict) -> float:
-    """One scan value, drive units to raw angular frequency."""
-    if config["drive"]["units"] == "pi_over_t":
-        return float(value) * math.pi / float(config["drive"]["period"])
-    return float(value)
 
 
 def parse_init(token: Any) -> Any:
@@ -203,8 +269,6 @@ def parse_init(token: Any) -> Any:
 
 def _fmt(value: Any) -> str:
     """Full-precision, bit-stable text for one CSV cell."""
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -291,7 +355,6 @@ def cmd_spacing_table(config: dict) -> tuple[list[str], list[list[Any]]]:
     on stderr and skipped; the remaining rows are still emitted.
     """
     params = resolve_drive(config)
-    block = config["lattice"]
     unit = math.pi / params.period
     rows = []
     for entry in config["task"]["sizes"]:
@@ -300,13 +363,7 @@ def cmd_spacing_table(config: dict) -> tuple[list[str], list[list[Any]]]:
         n_x, n_y = int(entry[0]), int(entry[1])
         label = f"{n_x}x{n_y}"
         try:
-            lattice = make_lattice(
-                n_x,
-                n_y,
-                bc_x=block["bc_x"],
-                bc_y=block["bc_y"],
-                dedup_coincident_bonds=bool(block["dedup"]),
-            )
+            lattice = resolve_lattice(config, n_x=n_x, n_y=n_y)
             op = build_floquet(lattice, params, materialize_dense=True)
             stats = spacing_stats(diagonalize(op))
         except (SizeCapError, NumericalToleranceError, ValueError) as exc:
@@ -350,7 +407,7 @@ def cmd_scan(config: dict) -> tuple[list[str], list[list[Any]]]:
     params = resolve_drive(config)
     task = config["task"]
     init = parse_init(task["init"])
-    h_raw = [_coupling_to_raw(v, config) for v in task["h_values"]]
+    h_raw = [resolve_drive(config, h=v).h for v in task["h_values"]]
     points = scan_subharmonic(
         [lattice],
         params,
@@ -366,15 +423,13 @@ def cmd_scan(config: dict) -> tuple[list[str], list[list[Any]]]:
 def cmd_corner_spectral(config: dict) -> tuple[list[str], list[list[Any]]]:
     """Corner spectral functions along a scan of h or j_y."""
     lattice = resolve_lattice(config)
-    params = resolve_drive(config)
+    resolve_drive(config)  # a bad drive block fails even when no values are given
     task = config["task"]
     scan_param = task["scan_param"]
-    if scan_param not in ("h", "j_y"):
-        raise ConfigError(f"scan_param must be 'h' or 'j_y', got {scan_param!r}")
     sf_config = SpectralFunctionConfig(chi=int(task["chi"]), window=float(task["window"]))
     rows = []
     for value in task["values"]:
-        point = replace(params, **{scan_param: _coupling_to_raw(value, config)})
+        point = resolve_drive(config, **{scan_param: value})
         op = build_floquet(lattice, point, materialize_dense=True)
         s = corner_spectral_functions(diagonalize(op), lattice, sf_config)
         rows.append([float(value), s.s0_1, s.s0_2, s.spi_1, s.spi_2])
@@ -409,31 +464,6 @@ _COMMANDS: dict[str, Callable[[dict], tuple[list[str], list[list[Any]]]]] = {
 }
 
 
-def _parse_float_list(text: str) -> list[float]:
-    if not text.strip():
-        return []
-    try:
-        return [float(piece) for piece in text.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}") from exc
-
-
-def _parse_sizes(text: str) -> list[list[int]]:
-    sizes = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        parts = piece.lower().split("x")
-        if len(parts) != 2:
-            raise ConfigError(f"sizes entries look like 4x2, got {piece!r}")
-        try:
-            sizes.append([int(parts[0]), int(parts[1])])
-        except ValueError as exc:
-            raise ConfigError(f"bad size {piece!r}") from exc
-    return sizes
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinladder",
@@ -443,83 +473,27 @@ def build_parser() -> argparse.ArgumentParser:
     for name, handler in _COMMANDS.items():
         p = sub.add_parser(name, help=handler.__doc__.splitlines()[0])
         p.add_argument("--config", help="JSON config file (blocks: lattice, drive, task, output)")
-        p.add_argument("--out", help="output path (overrides config)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--nx", type=int, help="lattice extent along x")
-        p.add_argument("--ny", type=int, help="lattice extent along y")
-        p.add_argument("--bc-x", choices=("open", "periodic"), help="x boundary condition")
-        p.add_argument("--bc-y", choices=("open", "periodic"), help="y boundary condition")
-        p.add_argument(
-            "--dedup",
-            choices=("true", "false"),
-            help="drop coincident wrap bonds instead of doubling them",
-        )
-        p.add_argument("--units", choices=("pi_over_t", "raw"), help="drive coupling units")
-        p.add_argument("--jx", type=float, help="leg coupling")
-        p.add_argument("--jy", type=float, help="rung coupling")
-        p.add_argument("--h", type=float, help="kick field")
-        p.add_argument("--period", type=float, help="drive period T")
-        if name in ("dynamics", "power", "scan"):
-            p.add_argument("--periods", type=int, help="number of drive periods M")
-            p.add_argument("--init", help="initial state: up | down | flip:K | tilt:X")
-            p.add_argument("--axis", type=float, help="measurement axis angle from +z, radians")
-        if name == "scan":
-            p.add_argument("--h-values", help="comma-separated kick fields (drive units)")
-        if name == "corner-spectral":
-            p.add_argument("--chi", type=int, help="number of sampled eigenstates")
-            p.add_argument("--window", type=float, help="quasienergy window half-width")
-            p.add_argument("--scan-param", choices=("h", "j_y"), help="swept coupling")
-            p.add_argument("--values", help="comma-separated scan values (drive units)")
-        if name == "spacing-table":
-            p.add_argument("--sizes", help="comma-separated sizes, e.g. 2x2,3x2,1x8")
-        if name == "phase1d":
-            p.add_argument("--h-values", help="comma-separated kick angles, radians")
-            p.add_argument("--j-values", help="comma-separated coupling angles, radians")
+        for flag in _FLAGS:
+            if flag.block != "task" or flag.key in _TASK_DEFAULTS[name]:
+                choices = ("true", "false") if flag.kind is bool else flag.kind
+                p.add_argument(
+                    flag.name,
+                    dest=flag.key,
+                    type=flag.kind if flag.kind in (int, float) else None,
+                    choices=choices if isinstance(choices, tuple) else None,
+                    help=flag.help,
+                )
     return parser
 
 
-def _collect_overrides(command: str, args: argparse.Namespace) -> dict:
-    overrides: dict[str, dict[str, Any]] = {"lattice": {}, "drive": {}, "task": {}, "output": {}}
-    mapping = [
-        ("lattice", "n_x", args.nx),
-        ("lattice", "n_y", args.ny),
-        ("lattice", "bc_x", args.bc_x),
-        ("lattice", "bc_y", args.bc_y),
-        ("lattice", "dedup", None if args.dedup is None else args.dedup == "true"),
-        ("drive", "units", args.units),
-        ("drive", "j_x", args.jx),
-        ("drive", "j_y", args.jy),
-        ("drive", "h", args.h),
-        ("drive", "period", args.period),
-        ("output", "path", args.out),
-        ("output", "format", args.format),
-    ]
-    if command in ("dynamics", "power", "scan"):
-        mapping += [
-            ("task", "periods", args.periods),
-            ("task", "init", args.init),
-            ("task", "axis", args.axis),
-        ]
-    if command == "scan" and args.h_values is not None:
-        mapping.append(("task", "h_values", _parse_float_list(args.h_values)))
-    if command == "corner-spectral":
-        mapping += [
-            ("task", "chi", args.chi),
-            ("task", "window", args.window),
-            ("task", "scan_param", args.scan_param),
-        ]
-        if args.values is not None:
-            mapping.append(("task", "values", _parse_float_list(args.values)))
-    if command == "spacing-table" and args.sizes is not None:
-        mapping.append(("task", "sizes", _parse_sizes(args.sizes)))
-    if command == "phase1d":
-        if args.h_values is not None:
-            mapping.append(("task", "h_values", _parse_float_list(args.h_values)))
-        if args.j_values is not None:
-            mapping.append(("task", "j_values", _parse_float_list(args.j_values)))
-    for block, key, value in mapping:
+def _collect_overrides(args: argparse.Namespace) -> dict:
+    """Config values of the flags given, by block; list and bool text is parsed here."""
+    overrides: dict[str, dict[str, Any]] = {}
+    for flag in _FLAGS:
+        value = getattr(args, flag.key, None)
         if value is not None:
-            overrides[block][key] = value
+            value = flag.parse(value) if flag.parse else value
+            overrides.setdefault(flag.block, {})[flag.key] = value
     return overrides
 
 
@@ -561,7 +535,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        overrides = _collect_overrides(command, args)
+        overrides = _collect_overrides(args)
         config = resolve_config(command, file_config, overrides)
         run_command(command, copy.deepcopy(config))
     except SizeCapError as exc:

@@ -280,6 +280,70 @@ def test_config_file_with_flag_override(tmp_path):
     assert config["lattice"]["n_y"] == 3
 
 
+#: (flag, text, block, key, parsed value) for the flags every subcommand takes
+COMMON_FLAGS = [
+    ("--format", "json", "output", "format", "json"),
+    ("--nx", "2", "lattice", "n_x", 2),
+    ("--ny", "3", "lattice", "n_y", 3),
+    ("--bc-x", "periodic", "lattice", "bc_x", "periodic"),
+    ("--bc-y", "periodic", "lattice", "bc_y", "periodic"),
+    ("--dedup", "false", "lattice", "dedup", False),
+    ("--units", "raw", "drive", "units", "raw"),
+    ("--jx", "0.25", "drive", "j_x", 0.25),
+    ("--jy", "0.5", "drive", "j_y", 0.5),
+    ("--h", "0.75", "drive", "h", 0.75),
+    ("--period", "3.0", "drive", "period", 3.0),
+]
+TRACE_FLAGS = [
+    ("--periods", "6", "task", "periods", 6),
+    ("--init", "flip:0", "task", "init", "flip:0"),
+    ("--axis", "0.3", "task", "axis", 0.3),
+]
+#: subcommand -> (arguments that keep the run tiny, its task flags)
+SUBCOMMAND_FLAGS = {
+    "spectrum": ([], []),
+    "spacing-table": (
+        ["--sizes", "1x2"],
+        [("--sizes", "1x2,2x1", "task", "sizes", [[1, 2], [2, 1]])],
+    ),
+    "dynamics": (["--periods", "4"], TRACE_FLAGS),
+    "power": (["--periods", "4"], TRACE_FLAGS),
+    "scan": (
+        ["--periods", "4"],
+        TRACE_FLAGS + [("--h-values", "0.5,0.7", "task", "h_values", [0.5, 0.7])],
+    ),
+    "corner-spectral": (["--chi", "2"], [
+        ("--chi", "3", "task", "chi", 3),
+        ("--window", "0.02", "task", "window", 0.02),
+        ("--scan-param", "j_y", "task", "scan_param", "j_y"),
+        ("--values", "0.4", "task", "values", [0.4]),
+    ]),
+    "phase1d": ([], [
+        ("--h-values", "0.5,1.2", "task", "h_values", [0.5, 1.2]),
+        ("--j-values", "0.7", "task", "j_values", [0.7]),
+    ]),
+}
+FLAG_CASES = [
+    pytest.param(command, base, *case, id=f"{command}{case[0]}")
+    for command, (base, task_flags) in SUBCOMMAND_FLAGS.items()
+    for case in COMMON_FLAGS + task_flags
+]
+
+
+@pytest.mark.parametrize("command, base, flag, text, block, key, expected", FLAG_CASES)
+def test_each_flag_lands_under_its_config_key(
+    tmp_path, command, base, flag, text, block, key, expected
+):
+    out = tmp_path / "flag.out"
+    argv = [command, "--out", str(out), "--nx", "1", "--ny", "2", *base, flag, text]
+    assert cli.main(argv) == 0
+    emitted_command, config = cli.read_emitted_config(str(out))
+    assert emitted_command == command
+    assert config["output"]["path"] == str(out)
+    value = config[block][key]
+    assert value == expected and type(value) is type(expected)
+
+
 def test_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "x.csv"
     # no output path anywhere
@@ -298,6 +362,14 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["spectrum", "--out", str(out), "--config", str(bad)]) == 2
     bad.write_text("{not json")
     assert cli.main(["spectrum", "--out", str(out), "--config", str(bad)]) == 2
+    # config values of the wrong JSON type are rejected, not coerced
+    for block in (
+        {"lattice": {"n_x": 1, "n_y": 2, "dedup": "false"}},
+        {"lattice": {"n_x": 1.7, "n_y": 2}},
+        {"lattice": {"n_x": 1, "n_y": 2}, "task": {"periods": 4.9}},
+    ):
+        bad.write_text(json.dumps(block))
+        assert cli.main(["dynamics", "--out", str(out), "--config", str(bad)]) == 2
     # dense propagator above the size cap
     assert cli.main(["spectrum", "--out", str(out), "--nx", "1", "--ny", "15"]) == 3
 

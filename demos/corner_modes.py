@@ -34,7 +34,7 @@ print(f"dictionary identities checked: {report.identities_checked}, "
 
 # exact pi modes at the ideal kick angle, any coupling strengths
 ideal = DriveParams(j_x=0.37, j_y=0.81, h=math.pi / 2, period=PERIOD)
-op = build_floquet(lattice, ideal, materialize_dense=True)
+op = build_floquet(lattice, ideal)
 mode_a, mode_b = corner_modes(lattice)
 res_a = mode_residual(op, mode_a, "pi")
 res_b = mode_residual(op, mode_b, "pi")
@@ -44,7 +44,7 @@ print(f"\nideal kick on {lattice.n_x}x{lattice.n_y}: "
 # away from the ideal point the corner operator is only close to a pi mode
 detuned = DriveParams(j_x=0.05 * UNIT, j_y=0.6 * UNIT, h=0.8 * UNIT,
                       period=PERIOD)
-op = build_floquet(lattice, detuned, materialize_dense=True)
+op = build_floquet(lattice, detuned)
 print(f"detuned kick (h = 0.8 pi/T): corner residual "
       f"{mode_residual(op, mode_a, 'pi'):.4f}")
 
@@ -57,8 +57,7 @@ print("   h/(pi/T)    S0(c1)   S0(c2)   Spi(c1)  Spi(c2)")
 for h in (0.2, 0.4, 0.6, 0.8):
     params = DriveParams(j_x=0.05 * UNIT, j_y=0.6 * UNIT, h=h * UNIT,
                          period=PERIOD)
-    spec = diagonalize(build_floquet(scan_lattice, params,
-                                     materialize_dense=True))
+    spec = diagonalize(build_floquet(scan_lattice, params))
     sf = corner_spectral_functions(spec, scan_lattice, config)
     print(f"   {h:.2f}       {sf.s0_1:7.3f}  {sf.s0_2:7.3f}  "
           f"{sf.spi_1:7.3f}  {sf.spi_2:7.3f}")

@@ -58,7 +58,7 @@ for h_frac, j_frac in ((0.40, 0.30), (0.35, 0.10)):
     sol = mpm_solution(h, j, chain.n_y)
     ansatz = mpm_ansatz_operator(chain, sol)
     params = DriveParams(j_x=0.0, j_y=j, h=h, period=period)
-    op = build_floquet(chain, params, materialize_dense=True)
+    op = build_floquet(chain, params)
     res = mode_residual(op, ansatz, "pi")
     print(f"ansatz at (h, J) = ({h_frac:.2f} pi, {j_frac:.2f} pi), "
           f"phase {label}: decay |E-| = {abs(sol.decay):.3f}, "
@@ -71,6 +71,5 @@ for n in (6, 8, 10):
     sol = mpm_solution(0.40 * math.pi, 0.30 * math.pi, n)
     ansatz = mpm_ansatz_operator(chain, sol)
     op = build_floquet(chain, DriveParams(j_x=0.0, j_y=0.30 * math.pi,
-                                          h=0.40 * math.pi, period=period),
-                       materialize_dense=True)
+                                          h=0.40 * math.pi, period=period))
     print(f"  N = {n:2d}: {mode_residual(op, ansatz, 'pi'):.3e}")

@@ -25,7 +25,7 @@ lattice = make_lattice(4, 2, bc_x="periodic", bc_y="periodic",
                        dedup_coincident_bonds=False)
 params = DriveParams(j_x=0.05 * UNIT, j_y=1.0, h=0.85 * UNIT, period=PERIOD)
 
-op = build_floquet(lattice, params, materialize_dense=True)
+op = build_floquet(lattice, params)
 spectrum = diagonalize(op)
 print(f"lattice {lattice.n_x}x{lattice.n_y}, dimension {spectrum.dim}")
 print(f"worst unitarity residual: {float(np.max(spectrum.residuals)):.2e}")
@@ -41,7 +41,6 @@ print(f"  min {stats.min_dev / UNIT:.3e}   max {stats.max_dev / UNIT:.3e}")
 
 # weaker kick: pairing degrades by orders of magnitude
 weak = DriveParams(j_x=0.05 * UNIT, j_y=1.0, h=0.55 * UNIT, period=PERIOD)
-weak_stats = spacing_stats(diagonalize(build_floquet(lattice, weak,
-                                                     materialize_dense=True)))
+weak_stats = spacing_stats(diagonalize(build_floquet(lattice, weak)))
 print("\nsame lattice at h = 0.55 pi/T:")
 print(f"  min {weak_stats.min_dev / UNIT:.3e}   max {weak_stats.max_dev / UNIT:.3e}")

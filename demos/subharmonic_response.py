@@ -28,7 +28,7 @@ PERIODS = 2000
 # ideal kick angle: the trace alternates exactly and all weight sits at pi/T
 lattice = make_lattice(2, 2)
 ideal = DriveParams(j_x=0.13, j_y=0.31, h=math.pi / 2, period=PERIOD)
-op = build_floquet(lattice, ideal, materialize_dense=True)
+op = build_floquet(lattice, ideal)
 state = prepare_state(lattice, all_up(lattice.n_sites))
 trace = evolve_stroboscopic(op, state, 40)
 print("ideal kick, first eight stroboscopic magnetizations:")
@@ -38,7 +38,7 @@ print("  " + "  ".join(f"{v:+.3f}" for v in trace.values[:8]))
 chain = make_lattice(1, 8)
 params = DriveParams(j_x=0.05 * UNIT, j_y=0.6 * UNIT, h=0.8 * UNIT,
                      period=PERIOD)
-op = build_floquet(chain, params, materialize_dense=True)
+op = build_floquet(chain, params)
 state = prepare_state(chain, all_up(chain.n_sites))
 trace = evolve_stroboscopic(op, state, PERIODS)
 spec = power_spectrum(trace)
@@ -54,7 +54,7 @@ print(f"  next largest line:    {float(np.max(others)):.3f}")
 print("\nsubharmonic peak per site versus open chain length:")
 for n in (4, 6, 8, 10):
     chain = make_lattice(1, n)
-    op = build_floquet(chain, params, materialize_dense=True)
+    op = build_floquet(chain, params)
     state = prepare_state(chain, all_up(chain.n_sites))
     spec = power_spectrum(evolve_stroboscopic(op, state, PERIODS))
     print(f"  N = {n:2d}: {spec.magnitudes[spec.n_samples // 2] / n:.3f}")

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin
 
 from .dynamics import (
     evolve_stroboscopic,
@@ -111,9 +111,10 @@ def _parse_sizes(text: str) -> list[list[int]]:
 class _Flag(NamedTuple):
     """One flag and the config value it sets.
 
-    ``kind`` is the value's type or the tuple of values it may take (str
-    values are checked where they are read); ``parse`` reads list and
-    bool flag text.
+    ``kind`` is the tuple of values the config value may take, or its
+    type written as an annotation (``list[float]``, ``str | None``;
+    ``object`` where the reader checks the value itself); ``parse``
+    reads list and bool flag text.
     """
 
     name: str
@@ -127,7 +128,7 @@ class _Flag(NamedTuple):
 #: every config flag, in help order; a subcommand takes a task flag
 #: exactly when its task block has the flag's key
 _FLAGS: tuple[_Flag, ...] = (
-    _Flag("--out", "output", "path", str, "output path (overrides config)"),
+    _Flag("--out", "output", "path", str | None, "output path (overrides config)"),
     _Flag("--format", "output", "format", ("csv", "json"), "output format"),
     _Flag("--nx", "lattice", "n_x", int, "lattice extent along x"),
     _Flag("--ny", "lattice", "n_y", int, "lattice extent along y"),
@@ -141,33 +142,53 @@ _FLAGS: tuple[_Flag, ...] = (
     _Flag("--h", "drive", "h", float, "kick field"),
     _Flag("--period", "drive", "period", float, "drive period T"),
     _Flag("--periods", "task", "periods", int, "number of drive periods M"),
-    _Flag("--init", "task", "init", str, "initial state: up | down | flip:K | tilt:X"),
+    _Flag("--init", "task", "init", object, "initial state: up | down | flip:K | tilt:X"),
     _Flag("--axis", "task", "axis", float, "measurement axis angle from +z, radians"),
-    _Flag("--h-values", "task", "h_values", list,
+    _Flag("--h-values", "task", "h_values", list[float],
           "comma-separated kick fields, drive units (phase1d: angles, radians)", _parse_float_list),
     _Flag("--chi", "task", "chi", int, "number of sampled eigenstates"),
     _Flag("--window", "task", "window", float, "quasienergy window half-width"),
     _Flag("--scan-param", "task", "scan_param", ("h", "j_y"), "swept coupling"),
-    _Flag("--values", "task", "values", list, "comma-separated scan values (drive units)",
+    _Flag("--values", "task", "values", list[float], "comma-separated scan values (drive units)",
           _parse_float_list),
-    _Flag("--sizes", "task", "sizes", list, "comma-separated sizes, e.g. 2x2,3x2,1x8",
-          _parse_sizes),
-    _Flag("--j-values", "task", "j_values", list, "comma-separated coupling angles, radians",
+    _Flag("--sizes", "task", "sizes", list[tuple[int, int]],
+          "comma-separated sizes, e.g. 2x2,3x2,1x8", _parse_sizes),
+    _Flag("--j-values", "task", "j_values", list[float], "comma-separated coupling angles, radians",
           _parse_float_list),
 )
 
 
+def _is_kind(kind: Any, value: Any) -> bool:
+    """Whether a JSON value has the kind of a _Flag, element by element."""
+    if isinstance(kind, tuple):
+        return value in kind
+    if kind in (int, float):
+        # bool is an int subclass, and a float key also takes JSON integers
+        return isinstance(value, (int, kind)) and not isinstance(value, bool)
+    if get_origin(kind) is list:
+        (item,) = get_args(kind)
+        return isinstance(value, list) and all(_is_kind(item, v) for v in value)
+    if get_origin(kind) is tuple:
+        # a fixed-length JSON array, e.g. an [n_x, n_y] size
+        items = get_args(kind)
+        return (
+            isinstance(value, list)
+            and len(value) == len(items)
+            and all(map(_is_kind, items, value))
+        )
+    return isinstance(value, kind)
+
+
 def _check_value(flag: _Flag, value: Any) -> None:
     """Reject a config value of the wrong JSON type instead of coercing it."""
-    if isinstance(flag.kind, tuple):
-        ok = value in flag.kind
-    elif flag.kind in (int, float):
-        # bool is an int subclass, and a float key also takes JSON integers
-        ok = isinstance(value, (int, flag.kind)) and not isinstance(value, bool)
-    else:
-        ok = flag.kind is str or isinstance(value, flag.kind)
-    if not ok:
-        wanted = f"one of {flag.kind}" if isinstance(flag.kind, tuple) else flag.kind.__name__
+    kind = flag.kind
+    if not _is_kind(kind, value):
+        if isinstance(kind, tuple):
+            wanted = f"one of {kind}"
+        elif get_origin(kind) is None:
+            wanted = kind.__name__
+        else:
+            wanted = str(kind)
         raise ConfigError(f"{flag.block}.{flag.key} must be {wanted}, got {value!r}")
 
 
@@ -338,7 +359,7 @@ def cmd_spectrum(config: dict) -> tuple[list[str], list[list[Any]]]:
     """Quasienergies of the full propagator: index, energy, residual."""
     lattice = resolve_lattice(config)
     params = resolve_drive(config)
-    op = build_floquet(lattice, params, materialize_dense=True)
+    op = build_floquet(lattice, params)
     spectrum = diagonalize(op)
     rows = [
         [n, float(spectrum.quasienergies[n]), float(spectrum.residuals[n])]
@@ -357,14 +378,11 @@ def cmd_spacing_table(config: dict) -> tuple[list[str], list[list[Any]]]:
     params = resolve_drive(config)
     unit = math.pi / params.period
     rows = []
-    for entry in config["task"]["sizes"]:
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise ConfigError(f"sizes entries must be [n_x, n_y] pairs, got {entry!r}")
-        n_x, n_y = int(entry[0]), int(entry[1])
+    for n_x, n_y in config["task"]["sizes"]:
         label = f"{n_x}x{n_y}"
         try:
             lattice = resolve_lattice(config, n_x=n_x, n_y=n_y)
-            op = build_floquet(lattice, params, materialize_dense=True)
+            op = build_floquet(lattice, params)
             stats = spacing_stats(diagonalize(op))
         except (SizeCapError, NumericalToleranceError, ValueError) as exc:
             print(f"spacing-table: {label} failed: {exc}", file=sys.stderr)
@@ -430,7 +448,7 @@ def cmd_corner_spectral(config: dict) -> tuple[list[str], list[list[Any]]]:
     rows = []
     for value in task["values"]:
         point = resolve_drive(config, **{scan_param: value})
-        op = build_floquet(lattice, point, materialize_dense=True)
+        op = build_floquet(lattice, point)
         s = corner_spectral_functions(diagonalize(op), lattice, sf_config)
         rows.append([float(value), s.s0_1, s.s0_2, s.spi_1, s.spi_2])
     return [scan_param, "s0_1", "s0_2", "spi_1", "spi_2"], rows

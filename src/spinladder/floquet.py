@@ -8,7 +8,9 @@ The drive alternates between an Ising half-period and a transverse kick,
 
 so the interaction half acts first on a state.  U_zz is diagonal in the
 computational basis and the kick factorizes over sites, which gives a
-matrix-free apply() costing O((N + 1) 2**N) per period.
+matrix-free apply() costing O((N + 1) 2**N) per period, and any single
+element U[r, c] as zz_phase[c] times a product of N single-site kick
+factors (entries()).
 
 Quasienergies are eps = -arg(lambda) / T folded into (-pi/T, pi/T].
 The spectrum is computed sector by sector: the global spin flip and the
@@ -107,13 +109,34 @@ class FloquetOperator:
     """One-period propagator bound to a lattice and drive parameters.
 
     ``zz_phase`` is the diagonal of the interaction half; ``dense`` is
-    the materialized matrix or None for matrix-free use.
+    the kron-built matrix, kept as an independent oracle for tests, or
+    None.  Nothing in the package reads it: single elements come from
+    entries() and states are propagated by apply().
     """
 
     lattice: Lattice
     params: DriveParams
     zz_phase: np.ndarray
     dense: np.ndarray | None = None
+
+    def entries(self, rows, cols) -> np.ndarray:
+        """U[rows, cols] for broadcastable integer index arrays.
+
+        U[r, c] = prod_k site[bit_k(r), bit_k(c)] * zz_phase[c], with the
+        single-site kick factors multiplied from site N-1 down to site 0,
+        the order of the kron product in build_floquet, so every element
+        equals the dense matrix's bit for bit.
+        """
+        rows = np.asarray(rows)
+        cols = np.asarray(cols)
+        c = math.cos(self.params.theta_h)
+        s = math.sin(self.params.theta_h)
+        site = np.array([[c, -1j * s], [-1j * s, c]])
+        out = np.ones(np.broadcast_shapes(rows.shape, cols.shape), dtype=complex)
+        for k in reversed(range(self.lattice.n_sites)):
+            out *= site[(rows >> k) & 1, (cols >> k) & 1]
+        out *= self.zz_phase[cols]
+        return out
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """One stroboscopic period on a state vector, matrix-free."""
@@ -131,9 +154,10 @@ def build_floquet(
 ) -> FloquetOperator:
     """Assemble the one-period propagator.
 
-    With ``materialize_dense`` the full 2**N x 2**N matrix is built
-    (refused above DENSE_SITE_CAP sites); otherwise only the diagonal
-    interaction phase is precomputed and apply() works matrix-free.
+    Only the diagonal interaction phase is precomputed; apply() and
+    entries() work from it and the kick angle.  ``materialize_dense``
+    also builds the full 2**N x 2**N matrix as a kron product (refused
+    above DENSE_SITE_CAP sites), an oracle independent of entries().
     """
     dim = lattice.dim
     idx = np.arange(dim)
@@ -260,9 +284,12 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
         U_k[a, b] = <r_a, k| U |r_b, k>
                   = sum_g conj(chi_k(g)) U[r_a, g r_b] / sqrt(S_a S_b)
 
-    is gathered from the dense U, at D**2 total cost, and factorized on
-    its own; the sector bases are orthonormal and jointly complete, so
-    embedding the block eigenvectors gives a full-basis unitary V.
+    is gathered element by element through ``op.entries`` (the dense
+    matrix is neither needed nor read), at N |G| n**2 cost for n orbit
+    representatives, and factorized on its own; the sector bases are
+    orthonormal and jointly complete, so embedding the block
+    eigenvectors gives a full-basis unitary V.  The embedded V is a
+    dense D x D matrix, hence the DENSE_SITE_CAP refusal.
 
     Each block goes through a complex Schur decomposition.  A unitary
     block is normal, so its Schur form is diagonal to machine precision
@@ -278,12 +305,12 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     Levels of all sectors are sorted together by quasienergy (stable,
     so ties keep sector order).
     """
-    if op.dense is None:
-        raise ValueError(
-            "diagonalize needs a dense propagator; rebuild with materialize_dense=True"
+    if op.lattice.n_sites > DENSE_SITE_CAP:
+        raise SizeCapError(
+            f"diagonalize refused for {op.lattice.n_sites} sites "
+            f"(cap {DENSE_SITE_CAP}): the eigenvectors fill a dense matrix"
         )
-    u = np.asarray(op.dense)
-    dim = u.shape[0]
+    dim = op.lattice.dim
     group = symmetry_group(op.lattice)
     images = group.images
     chars = group.characters()
@@ -293,7 +320,7 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     # S_r per sector: the stabilizer size when chi is trivial on it, else 0
     stab_sums = np.rint((chars @ fixed).real)
     # gathered[g, a, b] = U[r_a, g(r_b)]
-    gathered = u[reps[np.newaxis, :, np.newaxis], images[:, reps][:, np.newaxis, :]]
+    gathered = op.entries(reps[np.newaxis, :, np.newaxis], images[:, reps][:, np.newaxis, :])
     blocks = np.einsum("kg,gab->kab", chars.conj(), gathered)
 
     sectors, lam_parts, residual_parts = [], [], []

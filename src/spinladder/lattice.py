@@ -21,10 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+#: lattices of more sites are refused; a state vector at 20 sites is 16 MiB
 DEFAULT_SITE_CAP = 20
 
-#: dense 2**N x 2**N realizations (propagators, Pauli matrices) are refused
-#: above this many sites; one complex matrix at 14 sites already needs 4 GiB
+#: dense 2**N x 2**N realizations (propagators, Pauli matrices, the
+#: eigenvector matrix of diagonalize) are refused above this many sites;
+#: one complex matrix at 14 sites already needs 4 GiB
 DENSE_SITE_CAP = 13
 
 _BC_VALUES = ("open", "periodic")
@@ -74,7 +76,6 @@ class Lattice:
     bc_x: str = "open"
     bc_y: str = "open"
     dedup_coincident_bonds: bool = True
-    site_cap: int = DEFAULT_SITE_CAP
     bonds: tuple[Bond, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -82,10 +83,10 @@ class Lattice:
             raise ValueError(f"lattice dimensions must be >= 1, got {self.n_x}x{self.n_y}")
         if self.bc_x not in _BC_VALUES or self.bc_y not in _BC_VALUES:
             raise ValueError(f"boundary conditions must be one of {_BC_VALUES}")
-        if self.n_sites > self.site_cap:
+        if self.n_sites > DEFAULT_SITE_CAP:
             raise SizeCapError(
                 f"{self.n_x}x{self.n_y} lattice has {self.n_sites} sites, "
-                f"exceeding the cap of {self.site_cap}"
+                f"exceeding the cap of {DEFAULT_SITE_CAP}"
             )
         object.__setattr__(self, "bonds", tuple(self._build_bonds()))
 
@@ -166,7 +167,6 @@ def make_lattice(
     bc_x: str = "open",
     bc_y: str = "open",
     dedup_coincident_bonds: bool = True,
-    site_cap: int = DEFAULT_SITE_CAP,
 ) -> Lattice:
     """Build a validated Lattice; see the Lattice docstring for conventions."""
     return Lattice(
@@ -175,5 +175,4 @@ def make_lattice(
         bc_x=bc_x,
         bc_y=bc_y,
         dedup_coincident_bonds=dedup_coincident_bonds,
-        site_cap=site_cap,
     )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import FloquetOperator, QuasienergySpectrum, fold_quasienergy
-from .lattice import Lattice, SizeCapError
+from .lattice import DENSE_SITE_CAP, Lattice, SizeCapError
 from .pauli import PauliString
 
 #: dense dictionary/anticommutator verification refuses above this size
@@ -181,11 +181,15 @@ def mode_residual(
     Returns ``max |U G U^dag - sigma G|`` with sigma = +1 for target
     "zero" (the operator should commute with U) and sigma = -1 for
     target "pi" (it should anticommute).  Zero certifies an exact mode.
+    U is assembled through ``op.entries``, so a matrix-free operator
+    serves; U and G are dense, hence the DENSE_SITE_CAP refusal.
     """
     if target not in ("zero", "pi"):
         raise ValueError(f"target must be 'zero' or 'pi', got {target!r}")
-    if op.dense is None:
-        raise ValueError("mode_residual needs a dense propagator")
+    if op.lattice.n_sites > DENSE_SITE_CAP:
+        raise SizeCapError(
+            f"mode_residual refused for {op.lattice.n_sites} sites (cap {DENSE_SITE_CAP})"
+        )
     if isinstance(mode, MajoranaMode):
         mode = mode.string
     if isinstance(mode, PauliString):
@@ -194,7 +198,8 @@ def mode_residual(
         g = np.asarray(mode)
         if g.shape != (op.lattice.dim, op.lattice.dim):
             raise ValueError("mode matrix has wrong shape for this lattice")
-    u = np.asarray(op.dense)
+    idx = np.arange(op.lattice.dim)
+    u = op.entries(idx[:, np.newaxis], idx)
     conj = u @ g @ u.conj().T
     sigma = 1.0 if target == "zero" else -1.0
     return float(np.max(np.abs(conj - sigma * g)))

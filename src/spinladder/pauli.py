@@ -58,10 +58,6 @@ class PauliString:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def identity(cls, n_sites: int) -> "PauliString":
-        return cls(n_sites)
-
-    @classmethod
     def single(cls, n_sites: int, site: int, axis: str) -> "PauliString":
         """Single-site X, Y or Z."""
         if not 0 <= site < n_sites:

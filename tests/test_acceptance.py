@@ -80,7 +80,7 @@ def test_criterion_01_spacing_table():
             n_x, n_y, bc_x="periodic", bc_y="periodic",
             dedup_coincident_bonds=False,
         )
-        op = build_floquet(lattice, params, materialize_dense=True)
+        op = build_floquet(lattice, params)
         stats = spacing_stats(diagonalize(op))
         got_min = stats.min_dev / UNIT
         got_max = stats.max_dev / UNIT
@@ -113,7 +113,7 @@ def test_criterion_02_solvable_point_spectra():
             h=math.pi / 2,
             period=PERIOD,
         )
-        spectrum = diagonalize(build_floquet(lattice, params, materialize_dense=True))
+        spectrum = diagonalize(build_floquet(lattice, params))
         table = np.asarray(closed)
         expected = np.sort(np.repeat(table[:, 0], table[:, 1].astype(int)))
         got = np.sort(spectrum.quasienergies)
@@ -130,7 +130,7 @@ def test_criterion_03_corner_mode_exactness():
         params = DriveParams(
             j_x=0.05 * UNIT, j_y=0.6 * UNIT, h=math.pi / 2, period=PERIOD
         )
-        op = build_floquet(lattice, params, materialize_dense=True)
+        op = build_floquet(lattice, params)
         mode_a, mode_b = corner_modes(lattice)
         res_a = mode_residual(op, mode_a, "pi")
         res_b = mode_residual(op, mode_b, "pi")
@@ -151,7 +151,7 @@ def test_criterion_04_spectral_function_thresholds():
     lines = []
     for h in h_values:
         params = drive(h, 0.6, j_x=0.05)
-        spectrum = diagonalize(build_floquet(lattice, params, materialize_dense=True))
+        spectrum = diagonalize(build_floquet(lattice, params))
         funcs = corner_spectral_functions(spectrum, lattice, config)
         table[h] = funcs
         lines.append(

@@ -60,7 +60,7 @@ def test_spectrum_artifact_matches_library(tmp_path):
 
     lattice = make_lattice(1, 4)
     params = DriveParams.from_pi_over_t(j_x=0.0, j_y=1.0, h=1.0, period=2.0)
-    spectrum = diagonalize(build_floquet(lattice, params, materialize_dense=True))
+    spectrum = diagonalize(build_floquet(lattice, params))
     emitted = np.array([float(r[1]) for r in rows])
     np.testing.assert_array_equal(emitted, spectrum.quasienergies)
     assert all(float(r[2]) < 1e-10 for r in rows)
@@ -196,7 +196,7 @@ def test_spacing_table_skips_oversized_entries(tmp_path, capsys):
 
     lattice = make_lattice(1, 4)
     params = DriveParams.from_pi_over_t(j_x=0.05, j_y=0.6, h=0.8, period=2.0)
-    stats = spacing_stats(diagonalize(build_floquet(lattice, params, materialize_dense=True)))
+    stats = spacing_stats(diagonalize(build_floquet(lattice, params)))
     unit = math.pi / 2.0
     assert float(rows[0][1]) == stats.min_dev / unit
     assert float(rows[0][2]) == stats.max_dev / unit
@@ -235,7 +235,7 @@ def test_corner_spectral_row_matches_module(tmp_path):
 
     lattice = make_lattice(2, 2)
     params = DriveParams.from_pi_over_t(j_x=0.05, j_y=0.6, h=0.8, period=2.0)
-    spectrum = diagonalize(build_floquet(lattice, params, materialize_dense=True))
+    spectrum = diagonalize(build_floquet(lattice, params))
     funcs = corner_spectral_functions(
         spectrum, lattice, SpectralFunctionConfig(chi=4, window=0.01)
     )
@@ -370,7 +370,15 @@ def test_exit_codes(tmp_path, monkeypatch):
     ):
         bad.write_text(json.dumps(block))
         assert cli.main(["dynamics", "--out", str(out), "--config", str(bad)]) == 2
-    # dense propagator above the size cap
+    # list elements of the wrong JSON type, and a non-string output path
+    for command, block in (
+        ("phase1d", {"task": {"h_values": ["0.5"], "j_values": [0.7]}}),
+        ("spacing-table", {"task": {"sizes": [[1.7, 2]]}}),
+        ("phase1d", {"output": {"path": 5}}),
+    ):
+        bad.write_text(json.dumps({"output": {"path": str(out)}, **block}))
+        assert cli.main([command, "--config", str(bad)]) == 2
+    # spectrum above the dense size cap
     assert cli.main(["spectrum", "--out", str(out), "--nx", "1", "--ny", "15"]) == 3
 
     def explode(config):

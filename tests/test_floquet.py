@@ -21,6 +21,7 @@ from spinladder.floquet import (
     symmetry_group,
 )
 from spinladder.lattice import SizeCapError, make_lattice
+from spinladder.majorana import corner_modes, mode_residual
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -99,6 +100,29 @@ def test_dense_cap_enforced():
     params = DriveParams(j_x=0.1, j_y=0.2, h=0.3, period=2.0)
     with pytest.raises(SizeCapError):
         build_floquet(lat, params, materialize_dense=True)
+    # the matrix-free operator builds, but its dense products are refused
+    op = build_floquet(lat, params)
+    with pytest.raises(SizeCapError):
+        diagonalize(op)
+    with pytest.raises(SizeCapError):
+        mode_residual(op, corner_modes(lat)[0], "pi")
+
+
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+@pytest.mark.parametrize("n_x,n_y", [(1, 3), (2, 2), (3, 2), (1, 7)])
+@pytest.mark.parametrize("h", [0.0, 0.45, 1.3, math.pi / 2, 2.9])
+def test_entries_match_dense_bitwise(n_x, n_y, bc, h):
+    lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc)
+    params = DriveParams(j_x=0.35, j_y=0.8, h=h, period=2.0)
+    op = build_floquet(lat, params, materialize_dense=True)
+    rng = np.random.default_rng(n_x * 100 + n_y)
+    rows = rng.integers(lat.dim, size=(5, 1, 3))
+    cols = rng.integers(lat.dim, size=(4, 1))
+    got = op.entries(rows, cols)
+    assert got.shape == (5, 4, 3)
+    assert np.array_equal(got, op.dense[rows, cols])
+    idx = np.arange(lat.dim)
+    assert np.array_equal(op.entries(idx[:, np.newaxis], idx), op.dense)
 
 
 def test_diagonalize_eigenrelation():
@@ -138,6 +162,10 @@ def test_sector_spectrum_matches_dense_schur(n_x, n_y, bc, dedup):
     params = DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0)
     op = build_floquet(lat, params, materialize_dense=True)
     spec = diagonalize(op)
+    # the dense matrix is not read: a matrix-free operator gives the same arrays
+    lazy = diagonalize(build_floquet(lat, params))
+    for field in ("quasienergies", "eigenvectors", "eigenvalues", "residuals"):
+        assert np.array_equal(getattr(lazy, field), getattr(spec, field))
 
     # spin flip only on open lattices; one translation per periodic site
     expected_order = 2 * (lat.n_sites if bc == "periodic" else 1)
@@ -154,7 +182,7 @@ def test_sector_spectrum_matches_dense_schur(n_x, n_y, bc, dedup):
 def test_identity_drive_spectrum_is_zero():
     lat = make_lattice(2, 2)
     params = DriveParams(j_x=0.0, j_y=0.0, h=0.0, period=2.0)
-    spec = diagonalize(build_floquet(lat, params, materialize_dense=True))
+    spec = diagonalize(build_floquet(lat, params))
     np.testing.assert_allclose(spec.quasienergies, 0.0, atol=1e-14)
 
 
@@ -214,7 +242,7 @@ def test_spacing_stats_matches_brute_force(values, period):
 def test_solvable_point_1x4_closed_form():
     lat = make_lattice(1, 4)
     params = DriveParams(j_x=0.0, j_y=1.0, h=math.pi / 2, period=2.0)
-    spec = diagonalize(build_floquet(lat, params, materialize_dense=True))
+    spec = diagonalize(build_floquet(lat, params))
     levels = solvable_point_spectrum_1x4(params.j_y, params.period)
     expanded = np.sort(np.repeat([v for v, _ in levels], [m for _, m in levels]))
     np.testing.assert_allclose(spec.quasienergies, expanded, atol=1e-10)
@@ -223,7 +251,7 @@ def test_solvable_point_1x4_closed_form():
 def test_solvable_point_2x2_closed_form():
     lat = make_lattice(2, 2)
     params = DriveParams(j_x=0.05 * math.pi / 2, j_y=1.0, h=math.pi / 2, period=2.0)
-    spec = diagonalize(build_floquet(lat, params, materialize_dense=True))
+    spec = diagonalize(build_floquet(lat, params))
     levels = solvable_point_spectrum_2x2(params.j_y, params.j_x, params.period)
     expanded = np.sort(np.repeat([v for v, _ in levels], [m for _, m in levels]))
     np.testing.assert_allclose(spec.quasienergies, expanded, atol=1e-10)
@@ -232,6 +260,6 @@ def test_solvable_point_2x2_closed_form():
 def test_spectrum_arrays_are_readonly():
     lat = make_lattice(1, 3)
     params = DriveParams(j_x=0.0, j_y=0.5, h=0.4, period=2.0)
-    spec = diagonalize(build_floquet(lat, params, materialize_dense=True))
+    spec = diagonalize(build_floquet(lat, params))
     with pytest.raises(ValueError):
         spec.quasienergies[0] = 0.0

@@ -123,7 +123,7 @@ def test_classify_phase_boundaries_tagged():
 def chain_operator(h, j, n):
     lattice = make_lattice(1, n)
     params = DriveParams(j_x=0.0, j_y=j, h=h, period=2.0)
-    return build_floquet(lattice, params, materialize_dense=True), lattice
+    return build_floquet(lattice, params), lattice
 
 
 def test_ansatz_residual_tracks_phase_diagram():

@@ -56,7 +56,7 @@ from .majorana import (
     mode_residual,
     verify_dictionary,
 )
-from .pauli import PauliString, basis_state
+from .pauli import PauliString
 from .transfer1d import (
     MpmSolution,
     PbcLineCheck,
@@ -93,7 +93,6 @@ __all__ = [
     "SpectralFunctions",
     "TransferMatrix",
     "all_up",
-    "basis_state",
     "build_floquet",
     "classify_phase",
     "corner_modes",

@@ -196,16 +196,6 @@ class PowerSpectrum:
             return math.inf
         return self.subharmonic_amplitude / top
 
-    @property
-    def subharmonic_power_fraction(self) -> float:
-        """Power in bin k = M/2 relative to all nonzero-frequency power."""
-        half = self.n_samples // 2
-        power = self.magnitudes**2
-        total = float(np.sum(power[1:]))
-        if total == 0.0:
-            return 0.0
-        return float(power[half]) / total
-
 
 def power_spectrum(trace: MagnetizationTrace) -> PowerSpectrum:
     """Power spectrum of a magnetization trace on the frequency grid 2 pi k / (M T).
@@ -240,11 +230,6 @@ class ScanPoint:
     n_y: int
     h: float
     peak: float
-
-    @property
-    def peak_per_site(self) -> float:
-        """Peak of the average (per-site) magnetization, for cross-size sweeps."""
-        return self.peak / (self.n_x * self.n_y)
 
 
 def scan_subharmonic(

@@ -387,52 +387,33 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
 
 @dataclass(frozen=True)
 class SpacingStats:
-    """Per-state deviation from exact pi/T pairing of the spectrum.
+    """Deviation of the spectrum from exact pi/T pairing.
 
-    ``deviations[n]`` is the circular distance from quasienergy n shifted
-    by pi/T to its nearest neighbour in the spectrum; min_dev and max_dev
-    are its extremes.  Exact pairing makes every deviation zero.
+    With the D quasienergies sorted, level n is paired with level
+    n + D/2 (Khemani et al., PRL 116, 250401 (2016)); each pair deviates
+    by |eps_{n+D/2} - eps_n - pi/T|.  min_dev and max_dev are the
+    extremes over the D/2 pairs; exact pairing makes both zero.
     """
 
     min_dev: float
     max_dev: float
-    deviations: np.ndarray
 
 
 def spacing_stats(spectrum: QuasienergySpectrum) -> SpacingStats:
-    """Distance of each level's pi/T-shifted partner to the spectrum.
+    """Rank pairing of the sorted spectrum against a pi/T shift.
 
-    Folding is circular: distances are measured on the quasienergy circle
-    of circumference 2 pi/T, so pairs straddling the zone edge are still
-    recognized.  Runs in O(D log D).
+    All levels lie in (-pi/T, pi/T], so every paired difference is
+    already in [0, 2 pi/T) and needs no folding.  Raises ValueError for
+    an empty or odd-sized spectrum.
     """
-    eps = np.asarray(spectrum.quasienergies, dtype=float)
-    if eps.size == 0:
-        raise ValueError("empty spectrum")
-    period = spectrum.period
-    w = np.pi / period
-    zone = 2.0 * w
-
-    ordered = np.sort(eps)
-    targets = np.asarray(fold_quasienergy(eps + w, period))
-    pos = np.searchsorted(ordered, targets)
-    n = eps.size
-    left = (pos - 1) % n
-    right = pos % n
-
-    def circ_dist(a, b):
-        d = np.abs(a - b)
-        return np.minimum(d, zone - d)
-
-    deviations = np.minimum(
-        circ_dist(targets, ordered[left]), circ_dist(targets, ordered[right])
-    )
-    deviations.setflags(write=False)
-    return SpacingStats(
-        min_dev=float(deviations.min()),
-        max_dev=float(deviations.max()),
-        deviations=deviations,
-    )
+    eps = np.sort(np.asarray(spectrum.quasienergies, dtype=float))
+    if eps.size == 0 or eps.size % 2:
+        raise ValueError(
+            f"pi pairing needs an even, nonempty spectrum, got {eps.size} levels"
+        )
+    half = eps.size // 2
+    dev = np.abs(eps[half:] - eps[:half] - np.pi / spectrum.period)
+    return SpacingStats(min_dev=float(dev.min()), max_dev=float(dev.max()))
 
 
 def _merge_levels(raw: list[float], period: float, tol: float = 1e-12):

@@ -165,13 +165,3 @@ class PauliString:
     def __str__(self) -> str:
         pretty = {1 + 0j: "+", -1 + 0j: "-", 1j: "+i", -1j: "-i"}[self.phase]
         return f"{pretty}{self.label()}"
-
-
-def basis_state(n_sites: int, index: int = 0) -> np.ndarray:
-    """Computational basis vector |index> as a complex array."""
-    dim = 1 << n_sites
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for {n_sites} sites")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v

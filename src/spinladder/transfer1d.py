@@ -27,7 +27,7 @@ from .majorana import majorana
 #: |sin 2h| or |sin 2J| below this counts as a singular parameter line
 SINGULAR_TOL = 1e-12
 
-#: equality tolerance for phase-boundary detection
+#: equality tolerance for phase boundaries and the J = pi/2 line's pi-mode test
 BOUNDARY_TOL = 1e-12
 
 
@@ -168,20 +168,20 @@ def mpm_solution(h: float, j: float, length: int) -> MpmSolution:
     )
 
 
-def mpm_ansatz_operator(
-    lattice: Lattice, solution: MpmSolution, normalize: bool = True
-) -> np.ndarray:
+def mpm_ansatz_operator(lattice: Lattice, solution: MpmSolution) -> np.ndarray:
     """Dense realization of the truncated edge-mode ansatz on a chain.
 
     Builds gamma_A(1) + sum_{j=1}^{N-1} [(-1)^j a_j gamma_A(j+1)
     + (-1)^(j-1) b_j gamma_B(j)] on a 1 x N lattice, using the first N-1
-    coefficient pairs.  The coefficient recursion is stated in a frame whose
-    propagator carries the opposite interaction sign; for the kick-first
-    ordering used by build_floquet that frame maps onto ours under J -> -J,
-    which leaves (h, |E_minus|, b_1) fixed and alternates the signs of
-    successive coefficient pairs.  Dense conjugation of the Majorana basis
-    confirms the alternating assembly: its leading B/A weight cot(h) is the
-    eigenvector ratio of the conjugation map restricted to one cell.
+    coefficient pairs, divided by its Majorana norm.  The coefficient
+    recursion is stated in a frame whose propagator carries the opposite
+    interaction sign; for the ordering of build_floquet, U = U_kick U_zz
+    with the interaction half acting first, that frame maps onto ours
+    under J -> -J, which leaves (h, |E_minus|, b_1) fixed and alternates
+    the signs of successive coefficient pairs.  Dense conjugation of the
+    Majorana basis confirms the alternating assembly: its leading B/A
+    weight cot(h) is the eigenvector ratio of the conjugation map
+    restricted to one cell.
     """
     if lattice.n_x != 1:
         raise ValueError("ansatz operator is defined for 1 x N chains")
@@ -195,14 +195,13 @@ def mpm_ansatz_operator(
         flip = -1.0 if jj % 2 else 1.0
         total += flip * solution.a_coeffs[jj - 1] * majorana(lattice, "A", 1, jj + 1).string.to_matrix()
         total -= flip * solution.b_coeffs[jj - 1] * majorana(lattice, "B", 1, jj).string.to_matrix()
-    if normalize:
-        used = slice(0, n - 1)
-        scale = math.sqrt(
-            1.0
-            + float(np.sum(solution.a_coeffs[used] ** 2))
-            + float(np.sum(solution.b_coeffs[used] ** 2))
-        )
-        total /= scale
+    used = slice(0, n - 1)
+    scale = math.sqrt(
+        1.0
+        + float(np.sum(solution.a_coeffs[used] ** 2))
+        + float(np.sum(solution.b_coeffs[used] ** 2))
+    )
+    total /= scale
     return total
 
 
@@ -216,11 +215,11 @@ class PhaseLabel(Enum):
     BOUNDARY = "boundary"
 
 
-def classify_phase(h: float, j: float, tol: float = BOUNDARY_TOL) -> PhaseLabel:
+def classify_phase(h: float, j: float) -> PhaseLabel:
     """Phase of the open chain at couplings (h, j), both in (0, pi/2).
 
     A pi mode exists for h + J > pi/2 and a zero mode for J > h; the four
-    combinations give the four phases.  Points within ``tol`` of either
+    combinations give the four phases.  Points within BOUNDARY_TOL of either
     boundary line return the explicit boundary tag instead of a side.
     """
     half_pi = 0.5 * math.pi
@@ -228,8 +227,8 @@ def classify_phase(h: float, j: float, tol: float = BOUNDARY_TOL) -> PhaseLabel:
         raise ValueError(
             f"(h, j) = ({h}, {j}) outside the open square (0, pi/2)^2"
         )
-    on_antidiag = abs(h + j - half_pi) <= tol
-    on_diag = abs(j - h) <= tol
+    on_antidiag = abs(h + j - half_pi) <= BOUNDARY_TOL
+    on_diag = abs(j - h) <= BOUNDARY_TOL
     if on_antidiag or on_diag:
         return PhaseLabel.BOUNDARY
     has_pi = h + j > half_pi
@@ -252,14 +251,14 @@ class PbcLineCheck:
     mpm_possible: bool
 
 
-def pbc_line_check(h: float, tol: float = 1e-12) -> PbcLineCheck:
+def pbc_line_check(h: float) -> PbcLineCheck:
     """Edge-mode obstruction on the J = pi/2 line of the periodic chain.
 
     There the bulk recursion degenerates to a rotation with eigenvalues
     cos 2h +- i sin 2h; a pi mode would need an eigenvalue -1, which only
-    happens at h = pi/2.
+    happens at h = pi/2 (to within BOUNDARY_TOL).
     """
     lam = complex(math.cos(2.0 * h), math.sin(2.0 * h))
     eig = (lam, lam.conjugate())
-    possible = min(abs(eig[0] + 1.0), abs(eig[1] + 1.0)) < tol
+    possible = min(abs(eig[0] + 1.0), abs(eig[1] + 1.0)) < BOUNDARY_TOL
     return PbcLineCheck(h=h, eigenvalues=eig, mpm_possible=possible)

@@ -215,28 +215,60 @@ def _fake_spectrum(values, period):
 
 
 @given(
-    st.lists(st.floats(-1.57, 1.57), min_size=2, max_size=24),
+    st.lists(st.floats(-1.57, 1.57), min_size=2, max_size=24).filter(
+        lambda v: len(v) % 2 == 0
+    ),
     st.floats(1.0, 3.0),
 )
 @settings(max_examples=60, deadline=None)
-def test_spacing_stats_matches_brute_force(values, period):
-    w = math.pi / period
-    eps = [fold_quasienergy(v, period) for v in values]
-    spec = _fake_spectrum(eps, period)
+def test_spacing_stats_matches_rank_pairing_loop(values, period):
+    spec = _fake_spectrum([fold_quasienergy(v, period) for v in values], period)
     stats = spacing_stats(spec)
 
-    def wrap(x):
-        return x - 2 * w * math.floor((x + w) / (2 * w) - 1e-18)
+    levels = sorted(float(e) for e in spec.quasienergies)
+    half = len(levels) // 2
+    devs = [abs(levels[n + half] - levels[n] - math.pi / period) for n in range(half)]
+    assert stats.min_dev == min(devs)
+    assert stats.max_dev == max(devs)
 
-    devs = []
-    for en in spec.quasienergies:
-        best = min(
-            abs(wrap(em - en - w)) for em in spec.quasienergies
-        )
-        devs.append(best)
-    assert stats.min_dev == pytest.approx(min(devs), abs=1e-12)
-    assert stats.max_dev == pytest.approx(max(devs), abs=1e-12)
-    assert stats.deviations.shape == spec.quasienergies.shape
+
+@given(
+    st.lists(st.floats(-0.4, 0.4), min_size=1, max_size=12),
+    st.floats(-4.0, 4.0),
+    st.floats(1.0, 3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_spacing_stats_recovers_planted_pair_offsets(fractions, rotation, period):
+    """Base levels w/m apart and partners at base + pi/T + delta_i with
+    |delta_i| <= 0.4 w/m: the pairing is the planted one, also where the
+    zone edge cuts through the spectrum."""
+    w = math.pi / period
+    m = len(fractions)
+    deltas = [f * w / m for f in fractions]
+    bases = [rotation + i * w / m for i in range(m)]
+    levels = bases + [b + w + d for b, d in zip(bases, deltas)]
+    spec = _fake_spectrum([fold_quasienergy(v, period) for v in levels], period)
+    stats = spacing_stats(spec)
+    assert stats.min_dev == pytest.approx(min(abs(d) for d in deltas), abs=1e-12)
+    assert stats.max_dev == pytest.approx(max(abs(d) for d in deltas), abs=1e-12)
+
+
+def test_spacing_stats_pairs_each_level_once():
+    """Two levels close to the same pi/T partner: a nearest-partner search
+    would pair both with it; the rank pairing gives 0.003 and 0.012."""
+    period = 2.0
+    w = math.pi / period
+    levels = [0.0, 0.01, w + 0.012, w + 0.013]
+    spec = _fake_spectrum([fold_quasienergy(v, period) for v in levels], period)
+    stats = spacing_stats(spec)
+    assert stats.min_dev == pytest.approx(0.003, abs=1e-12)
+    assert stats.max_dev == pytest.approx(0.012, abs=1e-12)
+
+
+@pytest.mark.parametrize("values", [[], [0.1], [0.1, 0.2, -1.0]])
+def test_spacing_stats_rejects_empty_or_odd_spectra(values):
+    with pytest.raises(ValueError):
+        spacing_stats(_fake_spectrum(values, 2.0))
 
 
 def test_solvable_point_1x4_closed_form():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinladder.pauli import DENSE_SITE_CAP, PauliString, basis_state
+from spinladder.pauli import DENSE_SITE_CAP, PauliString
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -128,9 +128,3 @@ def test_dense_cap():
     big = PauliString(DENSE_SITE_CAP + 1, x_mask=1, z_mask=0)
     with pytest.raises(Exception):
         big.to_matrix()
-
-
-def test_basis_state():
-    v = basis_state(3, index=5)
-    assert v.shape == (8,)
-    assert v[5] == 1 and np.count_nonzero(v) == 1

@@ -114,7 +114,10 @@ def measure_magnetization(
     else:
         work = state
     weights = np.abs(work) ** 2
-    return float(_zsum_diagonal(n_sites) @ weights)
+    # an elementwise product and a pairwise sum, not a BLAS dot, which
+    # OpenBLAS would split by thread count from 2**14 amplitudes on
+    weights *= _zsum_diagonal(n_sites)
+    return float(weights.sum())
 
 
 @dataclass(frozen=True)

@@ -389,9 +389,9 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["spectrum", "--out", str(out), "--nx", "1", "--ny", "2"]) == 4
 
 
-def test_corner_spectral_independent_of_blas_threads(tmp_path):
-    """The 4x2 torus splits into 16 sectors of 16 states, so no step of
-    the corner scan depends on the BLAS thread count."""
+def rows_at_blas_threads(tmp_path, argv, artifact):
+    """Run the CLI in a subprocess at one and two OpenBLAS threads and
+    return the artifact's data rows for each thread count."""
     src = str(Path(cli.__file__).resolve().parents[1])
     artifacts = {}
     for threads in ("1", "2"):
@@ -400,15 +400,33 @@ def test_corner_spectral_independent_of_blas_threads(tmp_path):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         subprocess.run(
-            [
-                sys.executable, "-m", "spinladder.cli", "corner-spectral",
-                "--out", "corner.csv", "--nx", "4", "--ny", "2",
-                "--bc-x", "periodic", "--bc-y", "periodic", "--dedup", "false",
-                "--jx", "0.05", "--jy", "0.6", "--chi", "16", "--window", "0.01",
-                "--values", "0.8",
-            ],
+            [sys.executable, "-m", "spinladder.cli", *argv, "--out", artifact],
             cwd=workdir, env=env, check=True, timeout=300,
         )
-        artifacts[threads] = read_csv(workdir / "corner.csv")[2]
+        artifacts[threads] = read_csv(workdir / artifact)[2]
+    return artifacts
+
+
+def test_corner_spectral_independent_of_blas_threads(tmp_path):
+    """The 4x2 torus splits into 16 sectors of 16 states, so no step of
+    the corner scan depends on the BLAS thread count."""
+    artifacts = rows_at_blas_threads(tmp_path, [
+        "corner-spectral", "--nx", "4", "--ny", "2",
+        "--bc-x", "periodic", "--bc-y", "periodic", "--dedup", "false",
+        "--jx", "0.05", "--jy", "0.6", "--chi", "16", "--window", "0.01",
+        "--values", "0.8",
+    ], "corner.csv")
     assert len(artifacts["1"]) == 1
+    assert artifacts["1"] == artifacts["2"]
+
+
+def test_dynamics_independent_of_blas_threads(tmp_path):
+    """At 2**14 amplitudes OpenBLAS splits dot products across threads;
+    the kick's matmuls and the magnetization sum must not depend on it."""
+    artifacts = rows_at_blas_threads(tmp_path, [
+        "dynamics", "--nx", "1", "--ny", "14", "--jx", "0.05", "--jy", "0.6",
+        "--h", "0.9", "--periods", "20", "--init", f"tilt:{math.pi / 4!r}",
+        "--axis", repr(math.pi / 4),
+    ], "trace.csv")
+    assert len(artifacts["1"]) == 21
     assert artifacts["1"] == artifacts["2"]

@@ -59,17 +59,20 @@ def test_rotate_x_single_site_matrix():
 
 
 def test_rotate_x_matches_expm():
+    """One kron block, a narrower last block, and two or three blocks;
+    the result lands in the caller's array whether the last product
+    was written to it or to the second buffer."""
     theta = 0.81
-    n = 3
-    generator = sum(
-        np.kron(np.kron(np.eye(2**(n - 1 - k)), X), np.eye(2**k)) for k in range(n)
-    )
-    expected = scipy.linalg.expm(-1j * theta * generator)
     rng = np.random.default_rng(7)
-    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    w = v.copy()
-    rotate_x_all_sites(w, n, theta)
-    np.testing.assert_allclose(w, expected @ v, atol=1e-13)
+    for n in (1, 3, 4, 5, 8, 9):
+        generator = sum(
+            np.kron(np.kron(np.eye(2**(n - 1 - k)), X), np.eye(2**k)) for k in range(n)
+        )
+        expected = scipy.linalg.expm(-1j * theta * generator)
+        v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        w = v.copy()
+        assert rotate_x_all_sites(w, n, theta) is w
+        np.testing.assert_allclose(w, expected @ v, atol=1e-13)
 
 
 def test_two_site_propagator_matches_expm():
@@ -84,15 +87,39 @@ def test_two_site_propagator_matches_expm():
 
 
 def test_matrix_free_matches_dense():
-    lat = make_lattice(2, 3, bc_y="periodic")
-    params = DriveParams(j_x=0.4, j_y=0.7, h=1.1, period=2.0)
-    op = build_floquet(lat, params, materialize_dense=True)
-    dense = np.asarray(op.dense)
+    """op.apply against the kron-built U, on a periodic ladder and on
+    chains of one to thirteen sites: one to four kron blocks, with and
+    without a narrower last one, at kick angles pi/2, a generic value
+    and multiples of pi (h = 0 takes the s == 0 branch).  Chains of 15
+    and 16 sites split the lowest block into two and four gemms.  Past
+    ten sites U (1 GiB at 13) is read only on sampled rows, through
+    entries(), which equals the kron-built matrix bit for bit.  apply()
+    must also equal the zz multiply followed by rotate_x_all_sites
+    exactly, the split that the benchmark's traced period rebuilds."""
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        v = rng.normal(size=lat.dim) + 1j * rng.normal(size=lat.dim)
-        v /= np.linalg.norm(v)
-        np.testing.assert_allclose(op.apply(v), dense @ v, atol=1e-13)
+    cases = [(make_lattice(2, 3, bc_y="periodic"), 1.1)]
+    cases += [
+        (make_lattice(1, n), h)
+        for n in range(1, 14)
+        for h in (0.0, math.pi / 2, 0.83, math.pi, 2 * math.pi)
+    ]
+    cases += [(make_lattice(1, n), 0.83) for n in (15, 16)]
+    for lat, h in cases:
+        params = DriveParams(j_x=0.4, j_y=0.7, h=h, period=2.0)
+        op = build_floquet(lat, params, materialize_dense=lat.n_sites <= 10)
+        rows = np.arange(lat.dim)
+        if op.dense is None:
+            rows = np.sort(rng.choice(lat.dim, size=32, replace=False))
+            u_rows = op.entries(rows[:, np.newaxis], np.arange(lat.dim))
+        else:
+            u_rows = np.asarray(op.dense)
+        for _ in range(20):
+            v = rng.normal(size=lat.dim) + 1j * rng.normal(size=lat.dim)
+            v /= np.linalg.norm(v)
+            got = op.apply(v)
+            np.testing.assert_allclose(got[rows], u_rows @ v, atol=1e-13)
+            split = rotate_x_all_sites(op.zz_phase * v, lat.n_sites, params.theta_h)
+            assert np.array_equal(got, split)
 
 
 def test_dense_cap_enforced():

@@ -5,7 +5,10 @@ z-y plane, evolved period by period with the matrix-free propagator, and
 measured along an arbitrary z-y axis.  The measurement rotates a copy of
 the state so that the tilted axis becomes the z axis, then accumulates
 the diagonal sum of sigma_z expectation values; this reuses the kick
-kernel instead of building any operator matrix.
+kernel instead of building any operator matrix.  The norm guard of the
+evolution sums the same squared amplitudes, elementwise like the
+magnetization, so no step of a period calls BLAS outside the kick's
+single-threaded gemms.
 """
 
 from __future__ import annotations
@@ -100,6 +103,26 @@ def _zsum_diagonal(n_sites: int) -> np.ndarray:
     return out
 
 
+def _measure(state: np.ndarray, n_sites: int, axis: float) -> tuple[float, float]:
+    """Magnetization along ``axis`` and the squared norm of the state.
+
+    Both are elementwise sums over the squared amplitudes the
+    measurement forms, not BLAS dots, which OpenBLAS would split by
+    thread count from 2**14 amplitudes on.  With a tilted axis those are
+    the amplitudes of the rotated copy, whose norm the unitary rotation
+    keeps to rounding.
+    """
+    if axis != 0.0:
+        work = state.copy()
+        rotate_x_all_sites(work, n_sites, 0.5 * axis)
+    else:
+        work = state
+    weights = np.abs(work) ** 2
+    norm_sq = float(weights.sum())
+    weights *= _zsum_diagonal(n_sites)
+    return float(weights.sum()), norm_sq
+
+
 def measure_magnetization(
     state: np.ndarray, n_sites: int, axis: float = 0.0
 ) -> float:
@@ -108,29 +131,22 @@ def measure_magnetization(
     Rotating the state by exp(-i axis/2 sum_k X_k) turns the tilted axis
     into z, after which the observable is diagonal.
     """
-    if axis != 0.0:
-        work = state.copy()
-        rotate_x_all_sites(work, n_sites, 0.5 * axis)
-    else:
-        work = state
-    weights = np.abs(work) ** 2
-    # an elementwise product and a pairwise sum, not a BLAS dot, which
-    # OpenBLAS would split by thread count from 2**14 amplitudes on
-    weights *= _zsum_diagonal(n_sites)
-    return float(weights.sum())
+    return _measure(state, n_sites, axis)[0]
 
 
 @dataclass(frozen=True)
 class MagnetizationTrace:
     """Stroboscopic record of the magnetization along one axis.
 
-    ``values[n]`` is the magnetization after n full periods, n = 0..M.
+    ``values[n]`` is the magnetization after n full periods, n = 0..M;
+    ``max_norm_drift`` is the largest |norm - 1| seen after a period.
     """
 
     times: np.ndarray
     values: np.ndarray
     axis: float
     period: float
+    max_norm_drift: float = 0.0
 
     @property
     def n_periods(self) -> int:
@@ -145,8 +161,9 @@ def evolve_stroboscopic(
 ) -> MagnetizationTrace:
     """Evolve a state for ``periods`` drive periods, measuring each step.
 
-    The norm is checked against drift after every period; a violation
-    beyond NORM_TOL raises rather than returning silently wrong data.
+    The norm is checked against drift after every period, from the
+    squared amplitudes the measurement sums anyway; a violation beyond
+    NORM_TOL raises rather than returning silently wrong data.
     """
     if periods < 1:
         raise ValueError("periods must be >= 1")
@@ -154,19 +171,25 @@ def evolve_stroboscopic(
     v = np.asarray(state, dtype=complex)
     values = np.empty(periods + 1)
     values[0] = measure_magnetization(v, n, axis)
+    max_drift = 0.0
     for step in range(1, periods + 1):
         v = op.apply(v)
-        norm = float(np.linalg.norm(v))
+        values[step], norm_sq = _measure(v, n, axis)
+        norm = math.sqrt(norm_sq)
         if abs(norm - 1.0) > NORM_TOL:
             raise NumericalToleranceError(
                 f"norm drifted to {norm!r} after {step} periods"
             )
-        values[step] = measure_magnetization(v, n, axis)
+        max_drift = max(max_drift, abs(norm - 1.0))
     times = np.arange(periods + 1)
     for arr in (times, values):
         arr.setflags(write=False)
     return MagnetizationTrace(
-        times=times, values=values, axis=axis, period=op.params.period
+        times=times,
+        values=values,
+        axis=axis,
+        period=op.params.period,
+        max_norm_drift=max_drift,
     )
 
 

@@ -8,11 +8,15 @@ The drive alternates between an Ising half-period and a transverse kick,
 
 so the interaction half acts first on a state.  U_zz is diagonal in the
 computational basis and the kick factorizes over sites.  That gives a
-matrix-free apply(): one elementwise multiply, then one matmul per
-group of KICK_BLOCK_SITES sites with the cached kron power of the
-one-site kick, O(2**N * 2**KICK_BLOCK_SITES) per period.  It also gives
-any single element U[r, c] as zz_phase[c] times a product of N
-single-site kick factors (entries()).
+matrix-free apply(): one elementwise multiply, then the kick in a real
+frame, exp(-i theta X) = S exp(i theta Y) S^dagger with S = diag(1, i):
+an exact quarter-turn phase per basis state, one real matmul per group
+of KICK_BLOCK_SITES sites with the cached kron power of exp(i theta Y)
+on the float64 view of the state, and the phase back,
+O(2**N * 2**KICK_BLOCK_SITES) per period.  Every gemm stays below
+KICK_GEMM_MACS multiply-adds, so the kick runs on the calling thread.
+The structure also gives any single element U[r, c] as zz_phase[c]
+times a product of N single-site kick factors (entries()).
 
 Quasienergies are eps = -arg(lambda) / T folded into (-pi/T, pi/T].
 The spectrum is computed sector by sector: the global spin flip and the
@@ -37,8 +41,10 @@ RESIDUAL_TOL = 1e-10
 #: sites per kron block of the matrix-free kick (rotate_x_all_sites)
 KICK_BLOCK_SITES = 4
 
-#: rows per gemm in the kick's lowest block of sites
-KICK_GEMM_ROWS = 1024
+#: multiply-adds per gemm of the kick; every gemm is cut into row or
+#: column stacks of at most this size (a power of two), below the size
+#: from which OpenBLAS starts a second thread
+KICK_GEMM_MACS = 1 << 17
 
 
 class NumericalToleranceError(RuntimeError):
@@ -93,59 +99,90 @@ class DriveParams:
 
 
 @functools.lru_cache(maxsize=32)
-def _kick_block(angle: float, width: int) -> np.ndarray:
-    """The 2**width x 2**width kron power of exp(-i * angle * X).
+def _kick_block(angle: float, width: int, turns: int | None = None) -> np.ndarray:
+    """The 2**width x 2**width kron power of exp(i * angle * Y), real.
 
-    Cached: the kick angle is fixed per operator and the measurement
-    angle per evolution, and building a block costs more than a kick.
+    exp(i * angle * Y) = [[c, s], [-s, c]].  With ``turns`` set, the
+    block acts on the float64 view of the amplitudes, where a complex
+    factor i is J = [[0, -1], [1, 0]] on each (re, im) pair: it is then
+    kron(R^w, J**turns), 2**(width + 1) wide, and also multiplies the
+    state by i**turns.  Cached: the kick angle is fixed per operator and
+    the measurement angle per evolution, and a block costs more to
+    build than a kick.
     """
     c = math.cos(angle)
     s = math.sin(angle)
-    site = np.array([[c, -1j * s], [-1j * s, c]])
-    block = np.ones((1, 1), dtype=complex)
+    block = np.ones((1, 1))
     for _ in range(width):
-        block = np.kron(block, site)
+        block = np.kron(block, np.array([[c, s], [-s, c]]))
+    if turns is not None:
+        times_i = np.array([[0.0, -1.0], [1.0, 0.0]])
+        block = np.kron(block, np.linalg.matrix_power(times_i, turns))
     block.setflags(write=False)
     return block
+
+
+@functools.lru_cache(maxsize=8)
+def _quarter_turns(n_sites: int) -> np.ndarray:
+    """i**popcount(b) for every basis index b, the diagonal of prod_k S_k."""
+    idx = np.arange(1 << n_sites, dtype=np.uint64)
+    out = np.array([1, 1j, -1, -1j])[np.bitwise_count(idx) % 4]
+    out.setflags(write=False)
+    return out
 
 
 def rotate_x_all_sites(state: np.ndarray, n_sites: int, angle: float) -> np.ndarray:
     """Apply prod_k exp(-i * angle * X_k) in place and return the array.
 
     The caller must own ``state`` (complex, contiguous); it is overwritten.
+    With S = diag(1, i), exp(-i angle X) = S exp(i angle Y) S^dagger, and
+    exp(i angle Y) is real.  So the state is multiplied by the phase
+    conj(i**popcount(b)) of prod_k S_k^dagger (exact: every factor is +-1
+    or +-i), the real kron power R of the rotation is applied to its
+    float64 view, and the phase i**popcount(b) is multiplied back.  Only
+    i**popcount(b) is cached: since popcount(~b) = N - popcount(b), its
+    conjugate is the same array read backwards times i**-N, and the
+    lowest block applies that global factor.
+
     Sites are taken in groups of KICK_BLOCK_SITES (the last group may be
     narrower).  Group [k, k + w) multiplies the axis of bits k..k+w-1 by
-    the cached 2**w x 2**w kron power of the one-site rotation, one
-    matmul per group (for the lowest group a stack of gemms of at most
-    KICK_GEMM_ROWS rows), writing into a second buffer; the two buffers
+    the cached real block, writing into a second buffer; the two buffers
     alternate, so the kick costs O(2**N * 2**KICK_BLOCK_SITES) time and
-    one extra state of memory.  Each output amplitude is one inner
-    product of length 2**w, which gemm does not split across threads, so
-    the result does not depend on the BLAS thread count.
+    one extra state of memory.  The lowest group interleaves real and
+    imaginary parts, so its block is kron(R^w, J**turns), 2**(w + 1)
+    wide, multiplying stacks of rows; upper groups multiply stacks of
+    columns.  Every gemm is cut to at most KICK_GEMM_MACS multiply-adds,
+    which OpenBLAS runs on the calling thread, and each output is one
+    inner product of length 2**w or 2**(w + 1), so the result does not
+    depend on the BLAS thread count.
     """
-    c = math.cos(angle)
-    s = math.sin(angle)
-    if s == 0.0:
-        # angle is an exact multiple of pi, so each factor is +-identity
-        if c != 1.0:
-            state *= c ** n_sites
+    if math.sin(angle) == 0.0:
+        # only angle 0 gets here: sin of a nonzero float is never 0.0
         return state
+    quarter = _quarter_turns(n_sites)
+    # i**N * conj(i**popcount(b)); the lowest block takes off the i**N
+    state *= quarter[::-1]
     src, dst = state, np.empty_like(state)
     for k in range(0, n_sites, KICK_BLOCK_SITES):
         width = min(KICK_BLOCK_SITES, n_sites - k)
-        block = _kick_block(angle, width)
+        x, y = src.view(np.float64), dst.view(np.float64)
         if k == 0:
-            # one gemm over all 4096 rows of a 16-site state makes
-            # threaded OpenBLAS pack them at once: 1 MiB more peak memory
-            shape = (-1, min(KICK_GEMM_ROWS, state.size >> width), 1 << width)
-            np.matmul(src.reshape(shape), block.T, out=dst.reshape(shape))
+            block = _kick_block(angle, width, -n_sites % 4)
+            size = block.shape[0]
+            shape = (-1, min(KICK_GEMM_MACS // size**2, x.size // size), size)
+            np.matmul(x.reshape(shape), block.T, out=y.reshape(shape))
         else:
-            shape = (-1, 1 << width, 1 << k)
-            np.matmul(block, src.reshape(shape), out=dst.reshape(shape))
+            block = _kick_block(angle, width)
+            cols = 2 << k
+            chunk = min(cols, KICK_GEMM_MACS >> 2 * width)
+            shape = (-1, 1 << width, cols // chunk, chunk)
+            np.matmul(
+                block,
+                x.reshape(shape).swapaxes(1, 2),
+                out=y.reshape(shape).swapaxes(1, 2),
+            )
         src, dst = dst, src
-    if src is not state:
-        state[...] = src
-    return state
+    return np.multiply(src, quarter, out=state)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,9 @@ from .pauli import PauliString
 #: dense dictionary/anticommutator verification refuses above this size
 DICTIONARY_DENSE_CAP = 8
 
+#: largest dense deviation verify_dictionary accepts for an identity
+DICTIONARY_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class MajoranaMode:
@@ -100,7 +103,7 @@ def _dense_gap(left: PauliString, right_dense: np.ndarray) -> float:
     return float(np.max(np.abs(left.to_matrix() - right_dense)))
 
 
-def verify_dictionary(lattice: Lattice, tol: float = 1e-13) -> DictionaryReport:
+def verify_dictionary(lattice: Lattice) -> DictionaryReport:
     """Check the spin-to-Majorana operator identities on every site and bond.
 
     Site identity: sigma_x = i gamma_A gamma_B.  Rung pairs:
@@ -113,7 +116,8 @@ def verify_dictionary(lattice: Lattice, tol: float = 1e-13) -> DictionaryReport:
 
     where every Majorana pair carries the factor i that makes it a spin
     operator (each string factor is a sigma_x).  All identities are
-    evaluated both in exact string arithmetic and densely.
+    evaluated both in exact string arithmetic and densely, to within
+    DICTIONARY_TOL.
     """
     if lattice.n_sites > DICTIONARY_DENSE_CAP:
         raise SizeCapError(
@@ -135,7 +139,7 @@ def verify_dictionary(lattice: Lattice, tol: float = 1e-13) -> DictionaryReport:
             and lhs.z_mask == rhs.z_mask
             and lhs.phase == rhs.phase
         )
-        if not exact or dev > tol:
+        if not exact or dev > DICTIONARY_TOL:
             failures.append(f"{name}: string mismatch, dense deviation {dev:.3e}")
 
     def ij_pair(kind1, s1, kind2, s2, scale=1j):

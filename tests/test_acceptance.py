@@ -229,7 +229,7 @@ def test_criterion_07_algebra_suite():
     """All Majorana anticommutators and all spin-operator identities hold
     to 1e-13 on the dense 3x2 lattice."""
     lattice = make_lattice(3, 2)
-    report = verify_dictionary(lattice, tol=1e-13)
+    report = verify_dictionary(lattice)
     assert not report.failures, report.failures
     assert report.max_deviation < 1e-13, report.max_deviation
     assert report.identities_checked > 0

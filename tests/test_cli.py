@@ -421,12 +421,16 @@ def test_corner_spectral_independent_of_blas_threads(tmp_path):
 
 
 def test_dynamics_independent_of_blas_threads(tmp_path):
-    """At 2**14 amplitudes OpenBLAS splits dot products across threads;
-    the kick's matmuls and the magnetization sum must not depend on it."""
-    artifacts = rows_at_blas_threads(tmp_path, [
-        "dynamics", "--nx", "1", "--ny", "14", "--jx", "0.05", "--jy", "0.6",
-        "--h", "0.9", "--periods", "20", "--init", f"tilt:{math.pi / 4!r}",
-        "--axis", repr(math.pi / 4),
-    ], "trace.csv")
-    assert len(artifacts["1"]) == 21
-    assert artifacts["1"] == artifacts["2"]
+    """From 2**14 amplitudes OpenBLAS splits dot products across threads;
+    the kick's matmuls and the magnetization and norm sums must not
+    depend on it, at 14 and 16 sites."""
+    for n_y in (14, 16):
+        workdir = tmp_path / f"1x{n_y}"
+        workdir.mkdir()
+        artifacts = rows_at_blas_threads(workdir, [
+            "dynamics", "--nx", "1", "--ny", str(n_y), "--jx", "0.05", "--jy", "0.6",
+            "--h", "0.9", "--periods", "20", "--init", f"tilt:{math.pi / 4!r}",
+            "--axis", repr(math.pi / 4),
+        ], "trace.csv")
+        assert len(artifacts["1"]) == 21
+        assert artifacts["1"] == artifacts["2"]

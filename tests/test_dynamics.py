@@ -1,12 +1,17 @@
 """Tests for state preparation, stroboscopic evolution and power spectra."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinladder import dynamics
 from spinladder.dynamics import (
     MagnetizationTrace,
     all_up,
@@ -130,8 +135,50 @@ def test_evolution_validates_inputs():
     state = prepare_state(lat, all_up(2))
     with pytest.raises(ValueError):
         evolve_stroboscopic(op, state, periods=0)
-    with pytest.raises(NumericalToleranceError):
-        evolve_stroboscopic(op, 0.9 * state, periods=1)
+    for axis in (0.0, math.pi / 4):
+        with pytest.raises(NumericalToleranceError):
+            evolve_stroboscopic(op, 0.9 * state, periods=1, axis=axis)
+
+
+def test_trace_records_norm_drift():
+    lat = make_lattice(1, 8)
+    op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.9, 2.0))
+    state = prepare_state(lat, uniform_tilt(8, math.pi / 4))
+    trace = evolve_stroboscopic(op, state, periods=200, axis=math.pi / 4)
+    assert 0.0 <= trace.max_norm_drift <= 1e-12
+
+
+ONE_CORE_SCRIPT = """
+import math, time
+from spinladder.dynamics import evolve_stroboscopic, prepare_state, uniform_tilt
+from spinladder.floquet import DriveParams, build_floquet
+from spinladder.lattice import make_lattice
+
+lat = make_lattice(1, 16)
+op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.9, 2.0))
+state = prepare_state(lat, uniform_tilt(16, math.pi / 4))
+evolve_stroboscopic(op, state, 2, axis=math.pi / 4)
+cpu0, wall0 = time.process_time(), time.perf_counter()
+evolve_stroboscopic(op, state, 30, axis=math.pi / 4)
+print((time.process_time() - cpu0) / (time.perf_counter() - wall0))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_evolution_stays_on_one_core():
+    """At two OpenBLAS threads no gemm of the kick and no norm or
+    measurement sum wakes the second thread: a spinning second thread
+    would bring CPU time to about twice the wall time, and load on the
+    host can only lower the ratio."""
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", ONE_CORE_SCRIPT],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    ratio = float(done.stdout)
+    assert ratio <= 1.3, f"CPU time is {ratio:.2f} x wall time"
 
 
 def test_ideal_kick_alternates_exactly():

@@ -20,6 +20,7 @@ from spinladder.floquet import (
     spacing_stats,
     symmetry_group,
 )
+from spinladder.floquet import _kick_block, _quarter_turns
 from spinladder.lattice import SizeCapError, make_lattice
 from spinladder.majorana import corner_modes, mode_residual
 
@@ -58,13 +59,38 @@ def test_rotate_x_single_site_matrix():
         np.testing.assert_allclose(v, expected_mat[:, basis_index], atol=1e-15)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_real_block_conjugates_to_complex_kick(width):
+    """S R^w S^dagger, S = prod_k diag(1, i), is the kron power of
+    exp(-i theta X); the lowest block's float64 form multiplies by R^w
+    and then by i**turns."""
+    theta = 0.81
+    c, s = math.cos(theta), math.sin(theta)
+    complex_block = np.ones((1, 1), dtype=complex)
+    for _ in range(width):
+        complex_block = np.kron(complex_block, [[c, -1j * s], [-1j * s, c]])
+    real = _kick_block(theta, width)
+    assert real.dtype == np.float64
+    phase = _quarter_turns(width)
+    conjugated = phase[:, np.newaxis] * real * phase.conj()[np.newaxis, :]
+    np.testing.assert_allclose(conjugated, complex_block, rtol=0, atol=1e-15)
+
+    rng = np.random.default_rng(width)
+    v = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
+    for turns in range(4):
+        interleaved = _kick_block(theta, width, turns)
+        assert interleaved.shape == (2 << width, 2 << width)
+        got = (interleaved @ v.view(np.float64)).view(complex)
+        np.testing.assert_allclose(got, 1j**turns * (real @ v), rtol=0, atol=1e-15)
+
+
 def test_rotate_x_matches_expm():
     """One kron block, a narrower last block, and two or three blocks;
     the result lands in the caller's array whether the last product
     was written to it or to the second buffer."""
     theta = 0.81
     rng = np.random.default_rng(7)
-    for n in (1, 3, 4, 5, 8, 9):
+    for n in (1, 2, 3, 4, 5, 8, 9):
         generator = sum(
             np.kron(np.kron(np.eye(2**(n - 1 - k)), X), np.eye(2**k)) for k in range(n)
         )
@@ -90,8 +116,10 @@ def test_matrix_free_matches_dense():
     """op.apply against the kron-built U, on a periodic ladder and on
     chains of one to thirteen sites: one to four kron blocks, with and
     without a narrower last one, at kick angles pi/2, a generic value
-    and multiples of pi (h = 0 takes the s == 0 branch).  Chains of 15
-    and 16 sites split the lowest block into two and four gemms.  Past
+    and multiples of pi (h = 0 takes the early return).  From 12 sites
+    the lowest group is a stack of gemms over rows (two at 12, eight at
+    14); at 15 and 16 sites the upper group also splits its columns into
+    four and sixteen gemms.  Past
     ten sites U (1 GiB at 13) is read only on sampled rows, through
     entries(), which equals the kron-built matrix bit for bit.  apply()
     must also equal the zz multiply followed by rotate_x_all_sites
@@ -103,7 +131,7 @@ def test_matrix_free_matches_dense():
         for n in range(1, 14)
         for h in (0.0, math.pi / 2, 0.83, math.pi, 2 * math.pi)
     ]
-    cases += [(make_lattice(1, n), 0.83) for n in (15, 16)]
+    cases += [(make_lattice(1, n), 0.83) for n in (14, 15, 16)]
     for lat, h in cases:
         params = DriveParams(j_x=0.4, j_y=0.7, h=h, period=2.0)
         op = build_floquet(lat, params, materialize_dense=lat.n_sites <= 10)

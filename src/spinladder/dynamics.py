@@ -5,9 +5,16 @@ z-y plane, evolved period by period with the matrix-free propagator, and
 measured along an arbitrary z-y axis.  The measurement rotates a copy of
 the state so that the tilted axis becomes the z axis, then accumulates
 the diagonal sum of sigma_z expectation values; this reuses the kick
-kernel instead of building any operator matrix.  The norm guard of the
-evolution sums the same squared amplitudes, elementwise like the
-magnetization, so no step of a period calls BLAS outside the kick's
+kernel instead of building any operator matrix.
+
+An evolution never writes its input.  It allocates its workspace once
+(the state in the kick's real frame, one kick scratch buffer, one
+measurement copy when the axis is tilted, and the float weights) and
+then runs every period in place: the zz multiply and the real kick
+kernel, with no quarter-turn phase passes, since |Q x| = |x| for the
+exact phase diagonal Q that separates the frame from the state.  The
+norm guard sums the same squared amplitudes as the magnetization,
+elementwise, so no step of a period calls BLAS outside the kick's
 single-threaded gemms.
 """
 
@@ -24,6 +31,8 @@ from .floquet import (
     DriveParams,
     FloquetOperator,
     NumericalToleranceError,
+    _kick_in_frame,
+    _quarter_turns,
     build_floquet,
     rotate_x_all_sites,
 )
@@ -103,21 +112,17 @@ def _zsum_diagonal(n_sites: int) -> np.ndarray:
     return out
 
 
-def _measure(state: np.ndarray, n_sites: int, axis: float) -> tuple[float, float]:
-    """Magnetization along ``axis`` and the squared norm of the state.
+def _magnetization_and_norm(
+    amplitudes: np.ndarray, weights: np.ndarray, n_sites: int
+) -> tuple[float, float]:
+    """Z magnetization and squared norm from the squared ``amplitudes``.
 
-    Both are elementwise sums over the squared amplitudes the
-    measurement forms, not BLAS dots, which OpenBLAS would split by
-    thread count from 2**14 amplitudes on.  With a tilted axis those are
-    the amplitudes of the rotated copy, whose norm the unitary rotation
-    keeps to rounding.
+    ``weights`` is a float scratch array of the same length, overwritten.
+    Both are elementwise sums, not BLAS dots, which OpenBLAS would split
+    by thread count from 2**14 amplitudes on.
     """
-    if axis != 0.0:
-        work = state.copy()
-        rotate_x_all_sites(work, n_sites, 0.5 * axis)
-    else:
-        work = state
-    weights = np.abs(work) ** 2
+    np.abs(amplitudes, out=weights)
+    np.square(weights, out=weights)
     norm_sq = float(weights.sum())
     weights *= _zsum_diagonal(n_sites)
     return float(weights.sum()), norm_sq
@@ -128,10 +133,13 @@ def measure_magnetization(
 ) -> float:
     """Total magnetization along cos(axis) z + sin(axis) y.
 
-    Rotating the state by exp(-i axis/2 sum_k X_k) turns the tilted axis
-    into z, after which the observable is diagonal.
+    Rotating a copy of the state by exp(-i axis/2 sum_k X_k) turns the
+    tilted axis into z, after which the observable is diagonal.
     """
-    return _measure(state, n_sites, axis)[0]
+    work = np.asarray(state, dtype=complex)
+    if axis != 0.0:
+        work = rotate_x_all_sites(work.copy(), n_sites, 0.5 * axis)
+    return _magnetization_and_norm(work, np.empty(work.shape), n_sites)[0]
 
 
 @dataclass(frozen=True)
@@ -161,6 +169,20 @@ def evolve_stroboscopic(
 ) -> MagnetizationTrace:
     """Evolve a state for ``periods`` drive periods, measuring each step.
 
+    The input state is never written.  The evolution runs in the kick's
+    real frame: it holds u = i**N conj(Q) v with Q = diag(i**popcount(b))
+    instead of the state v, so a period is the zz multiply followed by
+    the real kick kernel, both in place, with none of the phase passes of
+    rotate_x_all_sites.  The diagonals commute with Q, and multiplying
+    by +-1 or +-i is exact, so u is the public per-period state up to an
+    exact phase per amplitude and |u|**2 = |v|**2 bit for bit.  The
+    kernel applies a global i**-N each period, which changes nothing.
+
+    All buffers are allocated once per evolution: u, the kernel's
+    scratch, a copy of u for a tilted measurement and the float weights.
+    A tilted measurement runs the same kernel at angle axis/2 on the
+    copy, which is rotate_x_all_sites without its phases.
+
     The norm is checked against drift after every period, from the
     squared amplitudes the measurement sums anyway; a violation beyond
     NORM_TOL raises rather than returning silently wrong data.
@@ -169,12 +191,32 @@ def evolve_stroboscopic(
         raise ValueError("periods must be >= 1")
     n = op.lattice.n_sites
     v = np.asarray(state, dtype=complex)
+    if v.shape != (op.lattice.dim,):
+        raise ValueError(f"state must have shape ({op.lattice.dim},), got {v.shape}")
+    theta = op.params.theta_h
+    # sin(theta) == 0 only at theta == 0, where the kick is the identity
+    kick = math.sin(theta) != 0.0
+    u = v * _quarter_turns(n)[::-1]
+    spare = np.empty_like(u)
+    copy = np.empty_like(u) if axis != 0.0 else None
+    weights = np.empty(u.shape)
+
+    def measure(amplitudes: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
+        if copy is not None:
+            np.copyto(copy, amplitudes)
+            amplitudes = _kick_in_frame(copy, scratch, n, 0.5 * axis)
+        return _magnetization_and_norm(amplitudes, weights, n)
+
     values = np.empty(periods + 1)
-    values[0] = measure_magnetization(v, n, axis)
+    values[0] = measure(u, spare)[0]
     max_drift = 0.0
     for step in range(1, periods + 1):
-        v = op.apply(v)
-        values[step], norm_sq = _measure(v, n, axis)
+        np.multiply(op.zz_phase, u, out=u)
+        if kick:
+            out = _kick_in_frame(u, spare, n, theta)
+            if out is spare:
+                u, spare = spare, u
+        values[step], norm_sq = measure(u, spare)
         norm = math.sqrt(norm_sq)
         if abs(norm - 1.0) > NORM_TOL:
             raise NumericalToleranceError(

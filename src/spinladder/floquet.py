@@ -9,12 +9,16 @@ The drive alternates between an Ising half-period and a transverse kick,
 so the interaction half acts first on a state.  U_zz is diagonal in the
 computational basis and the kick factorizes over sites.  That gives a
 matrix-free apply(): one elementwise multiply, then the kick in a real
-frame, exp(-i theta X) = S exp(i theta Y) S^dagger with S = diag(1, i):
-an exact quarter-turn phase per basis state, one real matmul per group
-of KICK_BLOCK_SITES sites with the cached kron power of exp(i theta Y)
-on the float64 view of the state, and the phase back,
+frame, exp(-i theta X) = S exp(i theta Y) S^dagger with S = diag(1, i).
+rotate_x_all_sites multiplies by an exact quarter-turn phase per basis
+state, runs the real kernel (one matmul per group of KICK_BLOCK_SITES
+sites with the cached kron power of exp(i theta Y) on the float64 view
+of the state, into a scratch buffer), and multiplies the phase back,
 O(2**N * 2**KICK_BLOCK_SITES) per period.  Every gemm stays below
 KICK_GEMM_MACS multiply-adds, so the kick runs on the calling thread.
+The phases commute with U_zz, so a caller that propagates many periods
+(dynamics.evolve_stroboscopic) stays in the real frame and calls the
+kernel alone, on buffers it owns.
 The structure also gives any single element U[r, c] as zz_phase[c]
 times a product of N single-site kick factors (entries()).
 
@@ -131,38 +135,27 @@ def _quarter_turns(n_sites: int) -> np.ndarray:
     return out
 
 
-def rotate_x_all_sites(state: np.ndarray, n_sites: int, angle: float) -> np.ndarray:
-    """Apply prod_k exp(-i * angle * X_k) in place and return the array.
+def _kick_in_frame(
+    state: np.ndarray, scratch: np.ndarray, n_sites: int, angle: float
+) -> np.ndarray:
+    """Apply i**-N times the real kron power of exp(i * angle * Y) to the
+    complex, contiguous ``state``, alternating with ``scratch``.
 
-    The caller must own ``state`` (complex, contiguous); it is overwritten.
-    With S = diag(1, i), exp(-i angle X) = S exp(i angle Y) S^dagger, and
-    exp(i angle Y) is real.  So the state is multiplied by the phase
-    conj(i**popcount(b)) of prod_k S_k^dagger (exact: every factor is +-1
-    or +-i), the real kron power R of the rotation is applied to its
-    float64 view, and the phase i**popcount(b) is multiplied back.  Only
-    i**popcount(b) is cached: since popcount(~b) = N - popcount(b), its
-    conjugate is the same array read backwards times i**-N, and the
-    lowest block applies that global factor.
-
-    Sites are taken in groups of KICK_BLOCK_SITES (the last group may be
-    narrower).  Group [k, k + w) multiplies the axis of bits k..k+w-1 by
-    the cached real block, writing into a second buffer; the two buffers
-    alternate, so the kick costs O(2**N * 2**KICK_BLOCK_SITES) time and
-    one extra state of memory.  The lowest group interleaves real and
+    Both buffers are overwritten; the return value is whichever of the
+    two holds the result.  Sites are taken in groups of KICK_BLOCK_SITES
+    (the last group may be narrower).  Group [k, k + w) multiplies the
+    axis of bits k..k+w-1 by the cached real block, writing into the
+    other buffer, so the kick costs O(2**N * 2**KICK_BLOCK_SITES) time
+    and allocates nothing.  The lowest group interleaves real and
     imaginary parts, so its block is kron(R^w, J**turns), 2**(w + 1)
-    wide, multiplying stacks of rows; upper groups multiply stacks of
-    columns.  Every gemm is cut to at most KICK_GEMM_MACS multiply-adds,
-    which OpenBLAS runs on the calling thread, and each output is one
-    inner product of length 2**w or 2**(w + 1), so the result does not
-    depend on the BLAS thread count.
+    wide, multiplying stacks of rows; it also applies the global i**-N.
+    Upper groups multiply stacks of columns.  Every gemm is cut to at
+    most KICK_GEMM_MACS multiply-adds, which OpenBLAS runs on the
+    calling thread, and each output is one inner product of length 2**w
+    or 2**(w + 1), so the result does not depend on the BLAS thread
+    count.
     """
-    if math.sin(angle) == 0.0:
-        # only angle 0 gets here: sin of a nonzero float is never 0.0
-        return state
-    quarter = _quarter_turns(n_sites)
-    # i**N * conj(i**popcount(b)); the lowest block takes off the i**N
-    state *= quarter[::-1]
-    src, dst = state, np.empty_like(state)
+    src, dst = state, scratch
     for k in range(0, n_sites, KICK_BLOCK_SITES):
         width = min(KICK_BLOCK_SITES, n_sites - k)
         x, y = src.view(np.float64), dst.view(np.float64)
@@ -182,7 +175,30 @@ def rotate_x_all_sites(state: np.ndarray, n_sites: int, angle: float) -> np.ndar
                 out=y.reshape(shape).swapaxes(1, 2),
             )
         src, dst = dst, src
-    return np.multiply(src, quarter, out=state)
+    return src
+
+
+def rotate_x_all_sites(state: np.ndarray, n_sites: int, angle: float) -> np.ndarray:
+    """Apply prod_k exp(-i * angle * X_k) in place and return the array.
+
+    The caller must own ``state`` (complex, contiguous); it is overwritten.
+    With S = diag(1, i), exp(-i angle X) = S exp(i angle Y) S^dagger, and
+    exp(i angle Y) is real.  So the state is multiplied by the phase
+    conj(i**popcount(b)) of prod_k S_k^dagger (exact: every factor is +-1
+    or +-i), the real kick kernel runs on a fresh scratch buffer, and the
+    phase i**popcount(b) is multiplied back.  Only i**popcount(b) is
+    cached: since popcount(~b) = N - popcount(b), its conjugate is the
+    same array read backwards times i**-N, and the kernel's lowest block
+    takes that global factor off.
+    """
+    if math.sin(angle) == 0.0:
+        # only angle 0 gets here: sin of a nonzero float is never 0.0
+        return state
+    quarter = _quarter_turns(n_sites)
+    # i**N * conj(i**popcount(b)); the kernel takes off the i**N
+    state *= quarter[::-1]
+    out = _kick_in_frame(state, np.empty_like(state), n_sites, angle)
+    return np.multiply(out, quarter, out=state)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,12 @@ magnetization dynamics with subharmonic power spectra.
 from .dynamics import (
     MagnetizationTrace,
     PowerSpectrum,
-    ScanPoint,
     all_up,
     evolve_stroboscopic,
     measure_magnetization,
     one_flip,
     power_spectrum,
     prepare_state,
-    scan_subharmonic,
     uniform_tilt,
 )
 from .floquet import (
@@ -86,7 +84,6 @@ __all__ = [
     "PhaseLabel",
     "PowerSpectrum",
     "QuasienergySpectrum",
-    "ScanPoint",
     "SizeCapError",
     "SpacingStats",
     "SpectralFunctionConfig",
@@ -112,7 +109,6 @@ __all__ = [
     "power_spectrum",
     "prepare_state",
     "rotate_x_all_sites",
-    "scan_subharmonic",
     "solvable_point_spectrum_1x4",
     "solvable_point_spectrum_2x2",
     "spacing_stats",

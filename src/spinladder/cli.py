@@ -23,11 +23,11 @@ import tempfile
 from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin
 
 from .dynamics import (
+    MagnetizationTrace,
     evolve_stroboscopic,
     one_flip,
     power_spectrum,
     prepare_state,
-    scan_subharmonic,
 )
 from .floquet import (
     DriveParams,
@@ -163,8 +163,13 @@ def _is_kind(kind: Any, value: Any) -> bool:
     if isinstance(kind, tuple):
         return value in kind
     if kind in (int, float):
-        # bool is an int subclass, and a float key also takes JSON integers
-        return isinstance(value, (int, kind)) and not isinstance(value, bool)
+        # bool is an int subclass, and a float key also takes JSON integers;
+        # json and argparse both read nan and inf, which no key accepts
+        return (
+            isinstance(value, (int, kind))
+            and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value))
+        )
     if get_origin(kind) is list:
         (item,) = get_args(kind)
         return isinstance(value, list) and all(_is_kind(item, v) for v in value)
@@ -185,6 +190,8 @@ def _check_value(flag: _Flag, value: Any) -> None:
     if not _is_kind(kind, value):
         if isinstance(kind, tuple):
             wanted = f"one of {kind}"
+        elif kind is float:
+            wanted = "a finite float"
         elif get_origin(kind) is None:
             wanted = kind.__name__
         else:
@@ -284,6 +291,8 @@ def parse_init(token: Any) -> Any:
             angle = float(token.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad tilt angle in {token!r}") from exc
+        if not math.isfinite(angle):
+            raise ConfigError(f"tilt angle in {token!r} is not finite")
         return angle
     raise ConfigError(f"unrecognized init spec {token!r}")
 
@@ -391,27 +400,38 @@ def cmd_spacing_table(config: dict) -> tuple[list[str], list[list[Any]]]:
     return ["size", "min_dev", "max_dev"], rows
 
 
-def _run_trace(config: dict):
+def _trace_runner(config: dict) -> Callable[..., MagnetizationTrace]:
+    """Resolve a dynamics task and prepare its state; return its evolution.
+
+    The whole task is checked here, before any evolution, so a bad
+    config fails even when a scan has no values.  The returned function
+    evolves the state with the given drive couplings replaced, in the
+    block's units.
+    """
     lattice = resolve_lattice(config)
-    params = resolve_drive(config)
+    resolve_drive(config)
     task = config["task"]
     periods = int(task["periods"])
-    init = parse_init(task["init"])
-    state = prepare_state(lattice, init)
-    op = build_floquet(lattice, params)
-    return evolve_stroboscopic(op, state, periods, axis=float(task["axis"]))
+    axis = float(task["axis"])
+    state = prepare_state(lattice, parse_init(task["init"]))
+
+    def run(**couplings: float) -> MagnetizationTrace:
+        op = build_floquet(lattice, resolve_drive(config, **couplings))
+        return evolve_stroboscopic(op, state, periods, axis=axis)
+
+    return run
 
 
 def cmd_dynamics(config: dict) -> tuple[list[str], list[list[Any]]]:
     """Stroboscopic magnetization trace: period index, total magnetization."""
-    trace = _run_trace(config)
+    trace = _trace_runner(config)()
     rows = [[int(n), float(m)] for n, m in zip(trace.times, trace.values)]
     return ["n", "magnetization"], rows
 
 
 def cmd_power(config: dict) -> tuple[list[str], list[list[Any]]]:
     """Discrete power spectrum of the stroboscopic trace."""
-    spectrum = power_spectrum(_run_trace(config))
+    spectrum = power_spectrum(_trace_runner(config)())
     rows = [
         [float(w), float(m)]
         for w, m in zip(spectrum.frequencies, spectrum.magnitudes)
@@ -421,20 +441,11 @@ def cmd_power(config: dict) -> tuple[list[str], list[list[Any]]]:
 
 def cmd_scan(config: dict) -> tuple[list[str], list[list[Any]]]:
     """Subharmonic peak height versus kick field h on one lattice."""
-    lattice = resolve_lattice(config)
-    params = resolve_drive(config)
-    task = config["task"]
-    init = parse_init(task["init"])
-    h_raw = [resolve_drive(config, h=v).h for v in task["h_values"]]
-    points = scan_subharmonic(
-        [lattice],
-        params,
-        h_raw,
-        init,
-        periods=int(task["periods"]),
-        axis=float(task["axis"]),
-    )
-    rows = [[float(v), float(p.peak)] for v, p in zip(task["h_values"], points)]
+    run = _trace_runner(config)
+    rows = [
+        [float(v), power_spectrum(run(h=v)).subharmonic_amplitude]
+        for v in config["task"]["h_values"]
+    ]
     return ["h", "peak"], rows
 
 

@@ -22,18 +22,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+import numbers
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .floquet import (
-    DriveParams,
     FloquetOperator,
     NumericalToleranceError,
     _kick_in_frame,
     _quarter_turns,
-    build_floquet,
     rotate_x_all_sites,
 )
 from .lattice import Lattice
@@ -71,6 +70,8 @@ def _site_spinor(entry: SiteSpec) -> np.ndarray:
         if token == "down":
             return np.array([0.0, 1.0], dtype=complex)
         raise ValueError(f"unknown site token {entry!r}; use 'up', 'down', or an angle")
+    if not isinstance(entry, numbers.Real) or isinstance(entry, bool) or not math.isfinite(entry):
+        raise ValueError(f"site entry {entry!r} is neither 'up', 'down' nor a finite angle")
     theta = float(entry)
     # +1 eigenvector of cos(theta) sigma_z + sin(theta) sigma_y
     return np.array([math.cos(0.5 * theta), 1j * math.sin(0.5 * theta)])
@@ -218,7 +219,8 @@ def evolve_stroboscopic(
                 u, spare = spare, u
         values[step], norm_sq = measure(u, spare)
         norm = math.sqrt(norm_sq)
-        if abs(norm - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails too
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise NumericalToleranceError(
                 f"norm drifted to {norm!r} after {step} periods"
             )
@@ -288,46 +290,3 @@ def power_spectrum(trace: MagnetizationTrace) -> PowerSpectrum:
         n_samples=m,
         period=trace.period,
     )
-
-
-@dataclass(frozen=True)
-class ScanPoint:
-    """Subharmonic peak height at one (lattice, h) grid point."""
-
-    n_x: int
-    n_y: int
-    h: float
-    peak: float
-
-
-def scan_subharmonic(
-    lattices: Iterable[Lattice],
-    params: DriveParams,
-    h_values: Iterable[float],
-    init: ProductStateSpec,
-    periods: int = 2000,
-    axis: float = 0.0,
-) -> tuple[ScanPoint, ...]:
-    """Subharmonic peak height over a (lattice, h) grid.
-
-    ``params`` supplies the couplings and period; its h field is
-    replaced by each scan value in turn (all in raw units).  ``init``
-    may be a per-site sequence, a uniform token or angle, or a callable
-    receiving each lattice, which is how mixed-size scans stay valid.
-    """
-    points = []
-    for lattice in lattices:
-        v0 = prepare_state(lattice, init)
-        for h in h_values:
-            op = build_floquet(lattice, replace(params, h=float(h)))
-            trace = evolve_stroboscopic(op, v0, periods, axis)
-            spec = power_spectrum(trace)
-            points.append(
-                ScanPoint(
-                    n_x=lattice.n_x,
-                    n_y=lattice.n_y,
-                    h=float(h),
-                    peak=spec.subharmonic_amplitude,
-                )
-            )
-    return tuple(points)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .lattice import DENSE_SITE_CAP, Lattice, SizeCapError
+from .lattice import DENSE_SITE_CAP, Lattice, check_site_cap
 
 #: eigenpair quality demanded of diagonalize()
 RESIDUAL_TOL = 1e-10
@@ -269,11 +269,7 @@ def build_floquet(
 
     dense = None
     if materialize_dense:
-        if lattice.n_sites > DENSE_SITE_CAP:
-            raise SizeCapError(
-                f"dense propagator refused for {lattice.n_sites} sites "
-                f"(cap {DENSE_SITE_CAP})"
-            )
+        check_site_cap(lattice.n_sites, DENSE_SITE_CAP, "dense propagator")
         c = math.cos(params.theta_h)
         s = math.sin(params.theta_h)
         site = np.array([[c, -1j * s], [-1j * s, c]])
@@ -402,11 +398,8 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     Levels of all sectors are sorted together by quasienergy (stable,
     so ties keep sector order).
     """
-    if op.lattice.n_sites > DENSE_SITE_CAP:
-        raise SizeCapError(
-            f"diagonalize refused for {op.lattice.n_sites} sites "
-            f"(cap {DENSE_SITE_CAP}): the eigenvectors fill a dense matrix"
-        )
+    # the eigenvectors fill a dense matrix
+    check_site_cap(op.lattice.n_sites, DENSE_SITE_CAP, "diagonalize")
     dim = op.lattice.dim
     group = symmetry_group(op.lattice)
     images = group.images

@@ -36,6 +36,12 @@ class SizeCapError(ValueError):
     """Requested system size exceeds a configured hard cap."""
 
 
+def check_site_cap(n_sites: int, cap: int, what: str) -> None:
+    """Refuse ``what`` with a SizeCapError when ``n_sites`` exceeds ``cap``."""
+    if n_sites > cap:
+        raise SizeCapError(f"{what} refused for {n_sites} sites (cap {cap})")
+
+
 class Bond(NamedTuple):
     """Ordered pair of site indices coupled by an Ising term.
 
@@ -83,11 +89,7 @@ class Lattice:
             raise ValueError(f"lattice dimensions must be >= 1, got {self.n_x}x{self.n_y}")
         if self.bc_x not in _BC_VALUES or self.bc_y not in _BC_VALUES:
             raise ValueError(f"boundary conditions must be one of {_BC_VALUES}")
-        if self.n_sites > DEFAULT_SITE_CAP:
-            raise SizeCapError(
-                f"{self.n_x}x{self.n_y} lattice has {self.n_sites} sites, "
-                f"exceeding the cap of {DEFAULT_SITE_CAP}"
-            )
+        check_site_cap(self.n_sites, DEFAULT_SITE_CAP, f"{self.n_x}x{self.n_y} lattice")
         object.__setattr__(self, "bonds", tuple(self._build_bonds()))
 
     @property
@@ -106,12 +108,6 @@ class Lattice:
                 f"site ({i}, {j}) outside {self.n_x}x{self.n_y} lattice"
             )
         return (i - 1) * self.n_y + (j - 1)
-
-    def site_coords(self, idx: int) -> tuple[int, int]:
-        """Inverse of site_index."""
-        if not 0 <= idx < self.n_sites:
-            raise ValueError(f"site index {idx} out of range")
-        return idx // self.n_y + 1, idx % self.n_y + 1
 
     def _build_bonds(self) -> list[Bond]:
         bonds = []

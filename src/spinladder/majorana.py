@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .floquet import FloquetOperator, QuasienergySpectrum, fold_quasienergy
-from .lattice import DENSE_SITE_CAP, Lattice, SizeCapError
+from .lattice import DENSE_SITE_CAP, Lattice, check_site_cap
 from .pauli import PauliString
 
 #: dense dictionary/anticommutator verification refuses above this size
@@ -94,10 +94,6 @@ class DictionaryReport:
     max_deviation: float
     failures: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def _dense_gap(left: PauliString, right_dense: np.ndarray) -> float:
     return float(np.max(np.abs(left.to_matrix() - right_dense)))
@@ -119,11 +115,7 @@ def verify_dictionary(lattice: Lattice) -> DictionaryReport:
     evaluated both in exact string arithmetic and densely, to within
     DICTIONARY_TOL.
     """
-    if lattice.n_sites > DICTIONARY_DENSE_CAP:
-        raise SizeCapError(
-            f"dense dictionary check refused for {lattice.n_sites} sites "
-            f"(cap {DICTIONARY_DENSE_CAP})"
-        )
+    check_site_cap(lattice.n_sites, DICTIONARY_DENSE_CAP, "dense dictionary check")
     n = lattice.n_sites
     checked = 0
     worst = 0.0
@@ -190,10 +182,7 @@ def mode_residual(
     """
     if target not in ("zero", "pi"):
         raise ValueError(f"target must be 'zero' or 'pi', got {target!r}")
-    if op.lattice.n_sites > DENSE_SITE_CAP:
-        raise SizeCapError(
-            f"mode_residual refused for {op.lattice.n_sites} sites (cap {DENSE_SITE_CAP})"
-        )
+    check_site_cap(op.lattice.n_sites, DENSE_SITE_CAP, "mode_residual")
     if isinstance(mode, MajoranaMode):
         mode = mode.string
     if isinstance(mode, PauliString):
@@ -225,8 +214,8 @@ class SpectralFunctionConfig:
     def __post_init__(self) -> None:
         if self.chi < 1:
             raise ValueError("chi must be a positive integer")
-        if self.window <= 0:
-            raise ValueError("window must be positive")
+        if not self.window > 0:  # NaN fails too
+            raise ValueError(f"window must be positive, got {self.window!r}")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import DENSE_SITE_CAP, SizeCapError
+from .lattice import DENSE_SITE_CAP, check_site_cap
 
 _ALLOWED_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -129,11 +129,7 @@ class PauliString:
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2**n x 2**n realization (small systems only)."""
-        if self.n_sites > DENSE_SITE_CAP:
-            raise SizeCapError(
-                f"dense realization refused for {self.n_sites} sites "
-                f"(cap {DENSE_SITE_CAP})"
-            )
+        check_site_cap(self.n_sites, DENSE_SITE_CAP, "dense realization")
         mat = np.ones((1, 1), dtype=complex)
         for k in reversed(range(self.n_sites)):
             xk = (self.x_mask >> k) & 1

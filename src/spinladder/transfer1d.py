@@ -35,14 +35,11 @@ BOUNDARY_TOL = 1e-12
 class TransferMatrix:
     """Transfer matrix of the edge-mode recursion at couplings (h, j).
 
-    ``h_angle`` and ``j_angle`` store the doubled angles 2h and 2J that
-    the matrix entries are built from.  On the singular parameter lines
-    (sin 2h sin 2J = 0) the matrix and eigenvalues are tagged rather
-    than divided out; the eigenvectors only involve J and stay valid.
+    On the singular parameter lines (sin 2h sin 2J = 0) the matrix and
+    eigenvalues are tagged rather than divided out; the eigenvectors
+    only involve J and stay valid.
     """
 
-    h_angle: float
-    j_angle: float
     singular: bool
     matrix: np.ndarray
     e_plus: float
@@ -66,34 +63,23 @@ def transfer_matrix(h: float, j: float) -> TransferMatrix:
     for arr in (psi_plus, psi_minus):
         arr.setflags(write=False)
 
-    if abs(s) < SINGULAR_TOL or abs(sj) < SINGULAR_TOL:
-        nanmat = np.full((2, 2), np.nan)
-        nanmat.setflags(write=False)
-        return TransferMatrix(
-            h_angle=2.0 * h,
-            j_angle=2.0 * j,
-            singular=True,
-            matrix=nanmat,
-            e_plus=math.nan,
-            e_minus=math.nan,
-            psi_plus=psi_plus,
-            psi_minus=psi_minus,
+    singular = abs(s) < SINGULAR_TOL or abs(sj) < SINGULAR_TOL
+    if singular:
+        mat = np.full((2, 2), np.nan)
+        e_plus = e_minus = math.nan
+    else:
+        den = s * sj
+        mat = np.array(
+            [
+                [-(1.0 + 2.0 * c * cj + cj * cj) / den, sj * (c + cj) / den],
+                [sj * (c + cj) / den, -sj * sj / den],
+            ]
         )
-
-    den = s * sj
-    mat = np.array(
-        [
-            [-(1.0 + 2.0 * c * cj + cj * cj) / den, sj * (c + cj) / den],
-            [sj * (c + cj) / den, -sj * sj / den],
-        ]
-    )
+        e_plus = -(1.0 + c * cj - (c + cj)) / den
+        e_minus = -(1.0 + c * cj + (c + cj)) / den
     mat.setflags(write=False)
-    e_plus = -(1.0 + c * cj - (c + cj)) / den
-    e_minus = -(1.0 + c * cj + (c + cj)) / den
     return TransferMatrix(
-        h_angle=2.0 * h,
-        j_angle=2.0 * j,
-        singular=False,
+        singular=singular,
         matrix=mat,
         e_plus=e_plus,
         e_minus=e_minus,

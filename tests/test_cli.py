@@ -21,7 +21,6 @@ from spinladder.dynamics import (
     one_flip,
     power_spectrum,
     prepare_state,
-    scan_subharmonic,
 )
 from spinladder.floquet import (
     DriveParams,
@@ -164,12 +163,13 @@ def test_scan_applies_units_once(tmp_path):
     assert [float(r[0]) for r in rows] == [0.8, 1.0]
 
     lattice = make_lattice(1, 2)
-    params = DriveParams.from_pi_over_t(j_x=0.0, j_y=0.5, h=0.0, period=2.0)
-    raw_values = [v * math.pi / 2.0 for v in (0.8, 1.0)]
-    points = scan_subharmonic([lattice], params, raw_values, "up", periods=6)
-    np.testing.assert_array_equal(
-        [float(r[1]) for r in rows], [p.peak for p in points]
-    )
+    state = prepare_state(lattice, "up")
+    peaks = []
+    for v in (0.8, 1.0):
+        params = DriveParams.from_pi_over_t(j_x=0.0, j_y=0.5, h=v, period=2.0)
+        trace = evolve_stroboscopic(build_floquet(lattice, params), state, 6)
+        peaks.append(power_spectrum(trace).subharmonic_amplitude)
+    assert np.array_equal([float(r[1]) for r in rows], peaks)
 
 
 def test_scan_with_no_values_emits_header_only(tmp_path):
@@ -180,6 +180,19 @@ def test_scan_with_no_values_emits_header_only(tmp_path):
     _, header, rows = read_csv(out)
     assert header == ["h", "peak"]
     assert rows == []
+
+
+@pytest.mark.parametrize("bad", [
+    ["--init", "flip:5"], ["--init", "wobble"], ["--period", "-1"], ["--nx", "0"],
+])
+def test_scan_checks_task_without_values(tmp_path, bad):
+    """Lattice, drive and initial state are checked before the h loop,
+    so an empty scan still rejects a bad config."""
+    out = tmp_path / "empty.csv"
+    code = cli.main(["scan", "--out", str(out), "--nx", "1", "--ny", "2",
+                     "--h-values", "", *bad])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_spacing_table_skips_oversized_entries(tmp_path, capsys):
@@ -378,6 +391,23 @@ def test_exit_codes(tmp_path, monkeypatch):
     ):
         bad.write_text(json.dumps({"output": {"path": str(out)}, **block}))
         assert cli.main([command, "--config", str(bad)]) == 2
+    # non-finite numbers, from flags, tilt angles and config files
+    for argv in (
+        ["dynamics", "--nx", "1", "--ny", "2", "--periods", "2", "--axis", "nan"],
+        ["dynamics", "--nx", "1", "--ny", "2", "--periods", "2", "--init", "tilt:nan"],
+        ["corner-spectral", "--nx", "2", "--ny", "1", "--chi", "2", "--window", "nan",
+         "--values", "0.8"],
+    ):
+        assert cli.main([*argv, "--out", str(out)]) == 2
+    bad.write_text('{"lattice": {"n_x": 1, "n_y": 2}, "task": {"periods": 2, "axis": NaN}}')
+    assert cli.main(["dynamics", "--out", str(out), "--config", str(bad)]) == 2
+    # list init entries that are neither up/down nor a finite real angle
+    for init in ([None, "up"], [True, "up"]):
+        bad.write_text(json.dumps(
+            {"lattice": {"n_x": 1, "n_y": 2}, "task": {"periods": 2, "init": init}}
+        ))
+        assert cli.main(["dynamics", "--out", str(out), "--config", str(bad)]) == 2
+    assert not out.exists()
     # spectrum above the dense size cap
     assert cli.main(["spectrum", "--out", str(out), "--nx", "1", "--ny", "15"]) == 3
 

@@ -21,7 +21,6 @@ from spinladder.dynamics import (
     power_spectrum,
     prepare_state,
     resolve_spec,
-    scan_subharmonic,
     uniform_tilt,
 )
 from spinladder.floquet import (
@@ -77,6 +76,15 @@ def test_resolve_spec_shapes():
         resolve_spec(lat, ("up", "down"))
     with pytest.raises(ValueError):
         prepare_state(lat, ("up", "sideways", "up"))
+    # numpy reals are angles like Python floats
+    assert np.array_equal(prepare_state(lat, (np.float32(0.5),) * 3), prepare_state(lat, 0.5))
+
+
+@pytest.mark.parametrize("entry", [None, True, False, math.nan, math.inf, 1j, b"up"])
+def test_site_entries_must_be_tokens_or_finite_angles(entry):
+    lat = make_lattice(1, 2)
+    with pytest.raises(ValueError, match="finite angle"):
+        prepare_state(lat, (entry, "up"))
 
 
 @given(
@@ -143,9 +151,14 @@ def test_evolution_validates_inputs():
     for wrong in (np.ones(8, dtype=complex) / math.sqrt(8), state.reshape(2, 2)):
         with pytest.raises(ValueError, match="shape"):
             evolve_stroboscopic(op, wrong, periods=1)
+    nan_state = state.copy()
+    nan_state[1] = np.nan
     for axis in (0.0, math.pi / 4):
         with pytest.raises(NumericalToleranceError):
             evolve_stroboscopic(op, 0.9 * state, periods=1, axis=axis)
+        # a NaN norm must fail the guard, not pass it as zero drift
+        with pytest.raises(NumericalToleranceError):
+            evolve_stroboscopic(op, nan_state, periods=1, axis=axis)
 
 
 @pytest.mark.parametrize("axis", [0.0, math.pi / 4])
@@ -305,16 +318,3 @@ def test_power_spectrum_parseval(values):
     assert spec.frequencies[0] == 0.0
     np.testing.assert_allclose(np.diff(spec.frequencies), math.pi / m, atol=1e-12)
 
-
-def test_scan_matches_direct_evolution():
-    lat = make_lattice(1, 2)
-    params = DriveParams(j_x=0.0, j_y=0.5, h=0.0, period=2.0)
-    h_values = (0.7, 1.1)
-    points = scan_subharmonic([lat], params, h_values, all_up(2), periods=40)
-    assert [p.h for p in points] == list(h_values)
-    for point in points:
-        op = build_floquet(lat, DriveParams(j_x=0.0, j_y=0.5, h=point.h, period=2.0))
-        trace = evolve_stroboscopic(op, prepare_state(lat, all_up(2)), periods=40)
-        expected = power_spectrum(trace).subharmonic_amplitude
-        assert point.peak == pytest.approx(expected, abs=1e-12)
-        assert (point.n_x, point.n_y) == (1, 2)

@@ -13,8 +13,6 @@ def bond_multiset(lattice):
 def test_column_major_indexing():
     lat = make_lattice(3, 2)
     assert [lat.site_index(i, j) for i in (1, 2, 3) for j in (1, 2)] == list(range(6))
-    for idx in range(6):
-        assert lat.site_index(*lat.site_coords(idx)) == idx
 
 
 def test_open_bond_counts():

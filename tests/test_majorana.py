@@ -233,3 +233,6 @@ def test_spectral_function_config_errors():
         corner_spectral_functions(
             spec, lat, SpectralFunctionConfig(chi=4, window=math.pi / 4)
         )
+    for chi, window in ((0, 0.01), (1, 0.0), (1, -0.01), (1, math.nan)):
+        with pytest.raises(ValueError):
+            SpectralFunctionConfig(chi=chi, window=window)

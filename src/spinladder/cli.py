@@ -163,13 +163,15 @@ def _is_kind(kind: Any, value: Any) -> bool:
     if isinstance(kind, tuple):
         return value in kind
     if kind in (int, float):
-        # bool is an int subclass, and a float key also takes JSON integers;
-        # json and argparse both read nan and inf, which no key accepts
-        return (
-            isinstance(value, (int, kind))
-            and not isinstance(value, bool)
-            and (isinstance(value, int) or math.isfinite(value))
-        )
+        # bool is an int subclass, and a float key also takes JSON integers
+        # that a float holds; json and argparse both read nan and inf,
+        # which no key accepts
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            return False
+        try:
+            return kind is int or math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
     if get_origin(kind) is list:
         (item,) = get_args(kind)
         return isinstance(value, list) and all(_is_kind(item, v) for v in value)

@@ -25,7 +25,9 @@ times a product of N single-site kick factors (entries()).
 Quasienergies are eps = -arg(lambda) / T folded into (-pi/T, pi/T].
 The spectrum is computed sector by sector: the global spin flip and the
 lattice translations commute with U and split it into small blocks
-before any dense factorization.
+before any dense factorization.  Both halves of U are symmetric
+matrices, so sector -k is the time-reversed copy of sector k and only
+one of the two is factorized.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .lattice import DENSE_SITE_CAP, Lattice, check_site_cap
 
@@ -86,6 +87,8 @@ class DriveParams:
         A coupling u in these units has raw value u * pi / period, hence
         kick angle u * pi / 2 independent of the period.
         """
+        # the constructor rejects a zero period before it is divided by
+        cls(j_x=j_x, j_y=j_y, h=h, period=period)
         scale = math.pi / period
         return cls(j_x=j_x * scale, j_y=j_y * scale, h=h * scale, period=period)
 
@@ -288,26 +291,6 @@ def fold_quasienergy(eps, period: float):
 
 
 @dataclass(frozen=True)
-class QuasienergySpectrum:
-    """Full eigendecomposition of a Floquet operator.
-
-    Quasienergies are sorted ascending in (-pi/T, pi/T]; eigenvector n is
-    ``eigenvectors[:, n]`` with unit-circle eigenvalue ``eigenvalues[n]``
-    and eigenpair residual ``residuals[n] = ||U v - lambda v||_2``.
-    """
-
-    quasienergies: np.ndarray
-    eigenvectors: np.ndarray
-    eigenvalues: np.ndarray
-    residuals: np.ndarray
-    period: float
-
-    @property
-    def dim(self) -> int:
-        return self.quasienergies.size
-
-
-@dataclass(frozen=True)
 class SymmetryGroup:
     """Abelian symmetry group of the propagator, acting on basis indices.
 
@@ -333,6 +316,18 @@ class SymmetryGroup:
         exps = np.indices(self.orders).reshape(len(self.orders), -1)
         turns = sum(np.outer(e, e) % n / n for e, n in zip(exps, self.orders))
         return np.exp(2j * np.pi * turns)
+
+    def conjugate_sectors(self) -> np.ndarray:
+        """Number of sector -k for every sector k: its characters are the
+        complex conjugates of sector k's."""
+        exps = np.indices(self.orders).reshape(len(self.orders), -1)
+        flipped = tuple(-e % n for e, n in zip(exps, self.orders))
+        return np.ravel_multi_index(flipped, self.orders)
+
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """(reps, orbit): the smallest image of every orbit, ascending,
+        and the orbit number of every basis index."""
+        return np.unique(self.images.min(axis=0), return_inverse=True)
 
 
 def symmetry_group(lattice: Lattice) -> SymmetryGroup:
@@ -361,6 +356,75 @@ def symmetry_group(lattice: Lattice) -> SymmetryGroup:
     return SymmetryGroup(orders=tuple(n for _, n in generators), images=images)
 
 
+@dataclass(frozen=True)
+class Sector:
+    """The levels of one symmetry sector of a QuasienergySpectrum.
+
+    ``label`` numbers the sector like the rows of
+    SymmetryGroup.characters(); ``keep`` marks the orbit representatives
+    r (of SymmetryGroup.orbits()) whose state |r, k> exists; column j of
+    ``schur`` is an orthonormal eigenvector in that basis, and
+    ``columns[j]`` is its level's index in the sorted spectrum.
+    """
+
+    label: int
+    keep: np.ndarray
+    schur: np.ndarray
+    columns: np.ndarray
+
+
+@dataclass(frozen=True)
+class QuasienergySpectrum:
+    """Eigendecomposition of a Floquet operator, kept sector by sector.
+
+    Quasienergies are sorted ascending in (-pi/T, pi/T]; level n has
+    unit-circle eigenvalue ``eigenvalues[n]`` and eigenpair residual
+    ``residuals[n] = ||U v_n - lambda_n v_n||_2``.  The eigenvectors are
+    held per symmetry sector of ``group``, in the small sector bases;
+    the full-basis matrix ``eigenvectors`` (eigenvector n is
+    ``eigenvectors[:, n]``) is dense, D x D, and built only when read.
+    """
+
+    quasienergies: np.ndarray
+    eigenvalues: np.ndarray
+    residuals: np.ndarray
+    period: float
+    group: SymmetryGroup
+    sectors: tuple[Sector, ...]
+
+    @property
+    def dim(self) -> int:
+        return self.quasienergies.size
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """The full-basis eigenvectors, built on first access, then cached
+        and read-only.
+
+        State b = g r of orbit r has amplitude
+        sum_{g' r = b} conj(chi(g')) / sqrt(|G| S_r) = conj(chi(g)) sqrt(|stab r| / |G|)
+        in |r, k>, since chi is constant on the coset g * stab(r).  The
+        sector bases are orthonormal and jointly complete, so the
+        embedded vectors form a unitary matrix.
+        """
+        images = self.group.images
+        dim = images.shape[1]
+        chars = self.group.characters()
+        reps, orbit = self.group.orbits()
+        carrier = np.argmax(images[:, reps[orbit]] == np.arange(dim), axis=0)
+        weight = np.sqrt((images[:, reps] == reps).sum(axis=0)[orbit] / self.group.order)
+        vectors = np.zeros((dim, dim), dtype=complex)
+        for sector in self.sectors:
+            rows = np.flatnonzero(sector.keep[orbit])
+            coef = chars[sector.label, carrier[rows]].conj() * weight[rows]
+            position = np.cumsum(sector.keep) - 1
+            vectors[np.ix_(rows, sector.columns)] = (
+                coef[:, np.newaxis] * sector.schur[position[orbit[rows]]]
+            )
+        vectors.setflags(write=False)
+        return vectors
+
+
 def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     """Eigendecomposition of the propagator, one symmetry sector at a time.
 
@@ -379,47 +443,62 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
 
     is gathered element by element through ``op.entries`` (the dense
     matrix is neither needed nor read), at N |G| n**2 cost for n orbit
-    representatives, and factorized on its own; the sector bases are
-    orthonormal and jointly complete, so embedding the block
-    eigenvectors gives a full-basis unitary V.  The embedded V is a
-    dense D x D matrix, hence the DENSE_SITE_CAP refusal.
+    representatives, and factorized on its own.
 
-    Each block goes through a complex Schur decomposition.  A unitary
-    block is normal, so its Schur form is diagonal to machine precision
-    and the Schur basis is orthonormal even inside degenerate clusters
-    (plain eigensolvers lose orthogonality there).  Per block, the
-    eigenvalue moduli must lie within RESIDUAL_TOL of 1, and the column
-    norms of the strict upper triangle, which equal the block residuals
-    ||U_k q - lambda q|| up to LAPACK backward error, within
-    RESIDUAL_TOL.  Because the embedding is an isometry that intertwines
-    U with its blocks, a block residual is also the full-basis residual
-    ||U v_n - lambda_n v_n|| of the embedded vector.
+    Time reversal halves the factorizations.  U = K Z with the kick K
+    and the diagonal zz phase Z both symmetric, so U^T = K^-1 U K: if
+    U v = lambda v, then K conj(v) = lambda conj(Z v) is an eigenvector
+    with the same eigenvalue.  conj maps sector k onto sector -k (the
+    conjugate characters) and Z is constant on orbits, so the basis
+    states of -k are the conjugates of k's, and sector -k's eigenvectors
+    are conj(zz_r * q) for sector k's eigenvectors q.  Only the
+    self-conjugate sectors (k = -k) and the lower-numbered sector of each
+    (k, -k) pair are factorized; the partner gets copies of the
+    eigenvalues and residuals.
+
+    Each factorized block goes through a complex Schur decomposition.  A
+    unitary block is normal, so its Schur form is diagonal to machine
+    precision and the Schur basis is orthonormal even inside degenerate
+    clusters (plain eigensolvers lose orthogonality there).  Per block,
+    the eigenvalue moduli must lie within RESIDUAL_TOL of 1, and the
+    column norms of the strict upper triangle, which equal the block
+    residuals ||U_k q - lambda q|| up to LAPACK backward error, within
+    RESIDUAL_TOL.  The embedding into the full basis is an isometry that
+    intertwines U with its blocks, so a block residual is also the
+    full-basis residual of the embedded vector.
 
     Levels of all sectors are sorted together by quasienergy (stable,
-    so ties keep sector order).
+    so ties keep sector order; a level and its copy in the partner
+    sector tie exactly).  The result keeps the Schur vectors per
+    sector; the dense D x D ``eigenvectors`` is embedded only when read,
+    and lattices above DENSE_SITE_CAP sites are refused.
     """
-    # the eigenvectors fill a dense matrix
+    # imported here, not at the top: it takes about 0.3 s and 28 MB,
+    # which the dynamics commands would pay for nothing
+    import scipy.linalg
+
     check_site_cap(op.lattice.n_sites, DENSE_SITE_CAP, "diagonalize")
-    dim = op.lattice.dim
     group = symmetry_group(op.lattice)
     images = group.images
     chars = group.characters()
+    partner = group.conjugate_sectors()
+    factored = np.flatnonzero(np.arange(group.order) <= partner)
 
-    reps, orbit = np.unique(images.min(axis=0), return_inverse=True)
+    reps, _ = group.orbits()
     fixed = images[:, reps] == reps
     # S_r per sector: the stabilizer size when chi is trivial on it, else 0
     stab_sums = np.rint((chars @ fixed).real)
     # gathered[g, a, b] = U[r_a, g(r_b)]
     gathered = op.entries(reps[np.newaxis, :, np.newaxis], images[:, reps][:, np.newaxis, :])
-    blocks = np.einsum("kg,gab->kab", chars.conj(), gathered)
+    blocks = np.einsum("kg,gab->kab", chars[factored].conj(), gathered)
 
-    sectors, lam_parts, residual_parts = [], [], []
-    for k in range(group.order):
+    parts = {}  # sector label: (keep, Schur vectors, eigenvalues, residuals)
+    for k, block in zip(factored, blocks):
         keep = stab_sums[k] > 0
         if not keep.any():
             continue
         norm = np.sqrt(stab_sums[k, keep])
-        block = blocks[k][np.ix_(keep, keep)] / np.outer(norm, norm)
+        block = block[np.ix_(keep, keep)] / np.outer(norm, norm)
         t_mat, q_mat = scipy.linalg.schur(block, output="complex")
         lam = np.diag(t_mat).copy()
         modulus_dev = np.abs(np.abs(lam) - 1.0)
@@ -434,44 +513,40 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
                 f"worst eigenpair residual {residuals.max():.3e} exceeds "
                 f"{RESIDUAL_TOL:.1e} in sector {k}"
             )
-        sectors.append((k, keep, q_mat))
-        lam_parts.append(lam)
-        residual_parts.append(residuals)
+        parts[k] = (keep, q_mat, lam, residuals)
+        if partner[k] != k:
+            zz = op.zz_phase[reps[keep]]
+            parts[partner[k]] = (keep, (zz[:, np.newaxis] * q_mat).conj(), lam, residuals)
 
+    labels = sorted(parts)
     period = op.params.period
-    lam = np.concatenate(lam_parts)
-    residuals = np.concatenate(residual_parts)
+    lam = np.concatenate([parts[k][2] for k in labels])
+    residuals = np.concatenate([parts[k][3] for k in labels])
     eps = fold_quasienergy(-np.angle(lam) / period, period)
     order = np.argsort(eps, kind="stable")
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size)
-
-    # Embedding: state b = g r of orbit r has amplitude
-    # sum_{g' r = b} conj(chi(g')) / sqrt(|G| S_r) = conj(chi(g)) sqrt(|stab r| / |G|)
-    # in |r, k>, since chi is constant on the coset g * stab(r).
-    carrier = np.argmax(images[:, reps[orbit]] == np.arange(dim), axis=0)
-    weight = np.sqrt(fixed.sum(axis=0)[orbit] / group.order)
-    vectors = np.zeros((dim, dim), dtype=complex)
-    start = 0
-    for k, keep, q_mat in sectors:
-        cols = slot[start:start + q_mat.shape[1]]
-        start += q_mat.shape[1]
-        rows = np.flatnonzero(keep[orbit])
-        coef = chars[k, carrier[rows]].conj() * weight[rows]
-        position = np.cumsum(keep) - 1
-        vectors[np.ix_(rows, cols)] = coef[:, np.newaxis] * q_mat[position[orbit[rows]]]
+    ends = np.cumsum([parts[k][2].size for k in labels])
+    sectors = tuple(
+        Sector(label=int(k), keep=parts[k][0], schur=parts[k][1], columns=columns)
+        for k, columns in zip(labels, np.split(slot, ends[:-1]))
+    )
+    for sector in sectors:
+        for arr in (sector.keep, sector.schur, sector.columns):
+            arr.setflags(write=False)
 
     eps = np.ascontiguousarray(eps[order])
     lam = np.ascontiguousarray(lam[order])
     residuals = np.ascontiguousarray(residuals[order])
-    for arr in (eps, vectors, lam, residuals):
+    for arr in (eps, lam, residuals):
         arr.setflags(write=False)
     return QuasienergySpectrum(
         quasienergies=eps,
-        eigenvectors=vectors,
         eigenvalues=lam,
         residuals=residuals,
         period=period,
+        group=group,
+        sectors=sectors,
     )
 
 

@@ -243,6 +243,11 @@ def corner_spectral_functions(
     operator's normalization makes its total sampled mass over the full
     zone equal 1, so with a unitary corner operator the normalizer is
     1/chi up to rounding noise.
+
+    The sampled states are taken by rank in the sorted spectrum.  A
+    level of momentum sector k and its copy in sector -k are exactly
+    equal and sort in sector order (see diagonalize), so which of the
+    two states holds a sampled rank is fixed by the sector numbering.
     """
     dim = spectrum.dim
     if config.chi > dim:

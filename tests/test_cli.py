@@ -25,6 +25,7 @@ from spinladder.dynamics import (
 from spinladder.floquet import (
     DriveParams,
     NumericalToleranceError,
+    QuasienergySpectrum,
     build_floquet,
     diagonalize,
     solvable_point_spectrum_1x4,
@@ -213,6 +214,30 @@ def test_spacing_table_skips_oversized_entries(tmp_path, capsys):
     unit = math.pi / 2.0
     assert float(rows[0][1]) == stats.min_dev / unit
     assert float(rows[0][2]) == stats.max_dev / unit
+
+
+class Embedded(Exception):
+    """Raised in place of building the full-basis eigenvector matrix."""
+
+
+def test_spectrum_commands_never_embed_eigenvectors(tmp_path, monkeypatch):
+    """spectrum and spacing-table read levels only; the D x D eigenvector
+    matrix is built only for the corner spectral functions."""
+
+    def embed(spectrum):
+        raise Embedded
+
+    monkeypatch.setattr(QuasienergySpectrum, "eigenvectors", property(embed))
+    torus = ["--bc-x", "periodic", "--bc-y", "periodic", "--dedup", "false"]
+    out = tmp_path / "out.csv"
+    assert cli.main(["spectrum", "--out", str(out), "--nx", "3", "--ny", "2", *torus]) == 0
+    assert cli.main(["spacing-table", "--out", str(out), "--sizes", "3x2,1x8", *torus]) == 0
+    assert [r[0] for r in read_csv(out)[2]] == ["3x2", "1x8"]
+    with pytest.raises(Embedded):
+        cli.main([
+            "corner-spectral", "--out", str(out), "--nx", "3", "--ny", "2", *torus,
+            "--chi", "4", "--window", "0.01", "--values", "0.8",
+        ])
 
 
 def test_phase1d_labels_match_classifier(tmp_path):
@@ -407,6 +432,12 @@ def test_exit_codes(tmp_path, monkeypatch):
             {"lattice": {"n_x": 1, "n_y": 2}, "task": {"periods": 2, "init": init}}
         ))
         assert cli.main(["dynamics", "--out", str(out), "--config", str(bad)]) == 2
+    # a zero period in pi/T units, and an integer no float holds under a float key
+    assert cli.main(
+        ["dynamics", "--nx", "1", "--ny", "2", "--periods", "2", "--period", "0", "--out", str(out)]
+    ) == 2
+    bad.write_text('{"lattice": {"n_x": 1, "n_y": 2}, "task": {"periods": 2, "axis": 1%s}}' % ("0" * 400))
+    assert cli.main(["dynamics", "--out", str(out), "--config", str(bad)]) == 2
     assert not out.exists()
     # spectrum above the dense size cap
     assert cli.main(["spectrum", "--out", str(out), "--nx", "1", "--ny", "15"]) == 3

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from spinladder.floquet import (
     DriveParams,
     NumericalToleranceError,
     QuasienergySpectrum,
+    Sector,
+    SymmetryGroup,
     build_floquet,
     diagonalize,
     fold_quasienergy,
@@ -234,6 +237,51 @@ def test_sector_spectrum_matches_dense_schur(n_x, n_y, bc, dedup):
     assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(lat.dim)) <= 1e-10
 
 
+def _sector_basis(group, label):
+    """Columns sum_g conj(chi(g)) |g r> / norm for every representative r
+    whose state exists in sector ``label``, built from the group alone."""
+    reps, _ = group.orbits()
+    basis = np.zeros((group.images.shape[1], reps.size), dtype=complex)
+    weights = np.broadcast_to(group.characters()[label].conj()[:, np.newaxis], (group.order, reps.size))
+    np.add.at(basis, (group.images[:, reps], np.arange(reps.size)), weights)
+    norms = np.linalg.norm(basis, axis=0)
+    keep = norms > 1e-6
+    return basis[:, keep] / norms[keep], keep
+
+
+@pytest.mark.parametrize("n_x,n_y", [(3, 2), (4, 2), (1, 8)])
+@pytest.mark.parametrize("h", [0.95, 0.4 * math.pi])
+def test_copied_sectors_match_their_own_schur(n_x, n_y, h):
+    """Sector -k is not factorized but copied from sector k; a Schur of
+    its own block, projected from the dense U, gives the same levels."""
+    lat = make_lattice(n_x, n_y, bc_x="periodic", bc_y="periodic", dedup_coincident_bonds=False)
+    params = DriveParams(j_x=0.35, j_y=0.8, h=h, period=2.0)
+    op = build_floquet(lat, params, materialize_dense=True)
+    spec = diagonalize(op)
+    partner = spec.group.conjugate_sectors()
+    copied = [s for s in spec.sectors if s.label > partner[s.label]]
+    assert copied
+    for sector in copied:
+        basis, keep = _sector_basis(spec.group, sector.label)
+        assert np.array_equal(keep, sector.keep)
+        t_mat, _ = scipy.linalg.schur(basis.conj().T @ op.dense @ basis, output="complex")
+        own = np.diag(t_mat)
+        got = spec.eigenvalues[sector.columns]
+        rows, cols = scipy.optimize.linear_sum_assignment(np.abs(got[:, np.newaxis] - own))
+        assert np.abs(got[rows] - own[cols]).max() <= 1e-12
+
+
+def test_eigenvectors_built_once_and_readonly():
+    lat = make_lattice(3, 2, bc_x="periodic", bc_y="periodic")
+    params = DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0)
+    spec = diagonalize(build_floquet(lat, params))
+    assert "eigenvectors" not in vars(spec)
+    vecs = spec.eigenvectors
+    assert spec.eigenvectors is vecs
+    with pytest.raises(ValueError):
+        vecs[0, 0] = 1.0
+
+
 def test_identity_drive_spectrum_is_zero():
     lat = make_lattice(2, 2)
     params = DriveParams(j_x=0.0, j_y=0.0, h=0.0, period=2.0)
@@ -258,14 +306,23 @@ def test_fold_quasienergy_properties(value, shift, period):
 
 
 def _fake_spectrum(values, period):
+    """Given levels with identity eigenvectors: one sector of the trivial group."""
     eps = np.sort(np.asarray(values, dtype=float))
     dim = eps.size
     return QuasienergySpectrum(
         quasienergies=eps,
-        eigenvectors=np.eye(dim, dtype=complex),
         eigenvalues=np.exp(-1j * eps * period),
         residuals=np.zeros(dim),
         period=period,
+        group=SymmetryGroup(orders=(1,), images=np.arange(dim)[np.newaxis, :]),
+        sectors=(
+            Sector(
+                label=0,
+                keep=np.ones(dim, dtype=bool),
+                schur=np.eye(dim, dtype=complex),
+                columns=np.arange(dim),
+            ),
+        ),
     )
 
 

@@ -1,5 +1,6 @@
 """Jordan-Wigner operators, the spin dictionary, and corner diagnostics."""
 
+import dataclasses
 import functools
 import math
 
@@ -210,13 +211,11 @@ def test_spectral_functions_bounded_and_phase_invariant():
 
     rng = np.random.default_rng(3)
     phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=spec.dim))
-    twisted = type(spec)(
-        quasienergies=spec.quasienergies,
-        eigenvectors=spec.eigenvectors * phases,
-        eigenvalues=spec.eigenvalues,
-        residuals=spec.residuals,
-        period=spec.period,
-    )
+    # eigenvector n times phases[n]: each sector's Schur columns rephased
+    twisted = dataclasses.replace(spec, sectors=tuple(
+        dataclasses.replace(sector, schur=sector.schur * phases[sector.columns])
+        for sector in spec.sectors
+    ))
     t = corner_spectral_functions(twisted, lat, config)
     assert t.s0_1 == pytest.approx(s.s0_1, abs=1e-12)
     assert t.spi_1 == pytest.approx(s.spi_1, abs=1e-12)

@@ -35,9 +35,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import _blas
 from .lattice import DENSE_SITE_CAP, Lattice, check_site_cap
 
 #: eigenpair quality demanded of diagonalize()
@@ -324,10 +326,38 @@ class SymmetryGroup:
         flipped = tuple(-e % n for e, n in zip(exps, self.orders))
         return np.ravel_multi_index(flipped, self.orders)
 
-    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """(reps, orbit): the smallest image of every orbit, ascending,
-        and the orbit number of every basis index."""
-        return np.unique(self.images.min(axis=0), return_inverse=True)
+    @functools.cached_property
+    def orbit_table(self) -> OrbitTable:
+        """The orbits of the basis under the group, built on first access."""
+        reps, orbit = np.unique(self.images.min(axis=0), return_inverse=True)
+        dim = orbit.size
+        carrier = np.argmax(self.images[:, reps[orbit]] == np.arange(dim), axis=0)
+        fixed = self.images[:, reps] == reps
+        stab_sums = np.rint((self.characters() @ fixed).real)
+        weights = np.sqrt(fixed.sum(axis=0)[orbit] / self.order)
+        table = OrbitTable(reps, orbit, carrier, stab_sums, weights)
+        for arr in table:
+            arr.setflags(write=False)
+        return table
+
+
+class OrbitTable(NamedTuple):
+    """Orbits of the basis indices under a SymmetryGroup.
+
+    ``reps`` holds the smallest image of every orbit, ascending;
+    ``orbit[b]`` is the orbit number of basis index b, and element
+    ``carrier[b]`` maps the orbit's representative onto b.
+    ``stab_sums[k, a]``, the sum of the characters of sector k over the
+    stabilizer of reps[a], is the stabilizer size when the character is
+    trivial on it and 0 otherwise.  ``weights[b]`` is
+    sqrt(|stabilizer| / |G|) of b's orbit.
+    """
+
+    reps: np.ndarray
+    orbit: np.ndarray
+    carrier: np.ndarray
+    stab_sums: np.ndarray
+    weights: np.ndarray
 
 
 def symmetry_group(lattice: Lattice) -> SymmetryGroup:
@@ -362,7 +392,7 @@ class Sector:
 
     ``label`` numbers the sector like the rows of
     SymmetryGroup.characters(); ``keep`` marks the orbit representatives
-    r (of SymmetryGroup.orbits()) whose state |r, k> exists; column j of
+    r (of SymmetryGroup.orbit_table) whose state |r, k> exists; column j of
     ``schur`` is an orthonormal eigenvector in that basis, and
     ``columns[j]`` is its level's index in the sorted spectrum.
     """
@@ -380,9 +410,12 @@ class QuasienergySpectrum:
     Quasienergies are sorted ascending in (-pi/T, pi/T]; level n has
     unit-circle eigenvalue ``eigenvalues[n]`` and eigenpair residual
     ``residuals[n] = ||U v_n - lambda_n v_n||_2``.  The eigenvectors are
-    held per symmetry sector of ``group``, in the small sector bases;
-    the full-basis matrix ``eigenvectors`` (eigenvector n is
-    ``eigenvectors[:, n]``) is dense, D x D, and built only when read.
+    held per symmetry sector of ``group``, in the small sector bases.
+    vectors() embeds chosen ones in the full basis and overlaps(), its
+    adjoint, projects full-basis states onto all of them, both through
+    the group's orbit table and without a D x D matrix.  The dense
+    ``eigenvectors`` (eigenvector n is ``eigenvectors[:, n]``) is built
+    only when read; nothing in the package reads it.
     """
 
     quasienergies: np.ndarray
@@ -396,35 +429,85 @@ class QuasienergySpectrum:
     def dim(self) -> int:
         return self.quasienergies.size
 
-    @functools.cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """The full-basis eigenvectors, built on first access, then cached
-        and read-only.
+    def vectors(self, ranks) -> np.ndarray:
+        """The eigenvectors of the given ranks in the full basis, as the
+        columns of a D x len(ranks) array.
 
         State b = g r of orbit r has amplitude
         sum_{g' r = b} conj(chi(g')) / sqrt(|G| S_r) = conj(chi(g)) sqrt(|stab r| / |G|)
-        in |r, k>, since chi is constant on the coset g * stab(r).  The
-        sector bases are orthonormal and jointly complete, so the
-        embedded vectors form a unitary matrix.
+        in |r, k>, since chi is constant on the coset g * stab(r); the
+        orbit table holds g (``carrier``) and the square root
+        (``weights``).  Every entry is one product of that amplitude and
+        a Schur vector entry, so a column does not depend on which other
+        ranks are asked for.
         """
-        images = self.group.images
-        dim = images.shape[1]
+        ranks = np.asarray(ranks, dtype=np.intp).reshape(-1)
+        table = self.group.orbit_table
         chars = self.group.characters()
-        reps, orbit = self.group.orbits()
-        carrier = np.argmax(images[:, reps[orbit]] == np.arange(dim), axis=0)
-        weight = np.sqrt((images[:, reps] == reps).sum(axis=0)[orbit] / self.group.order)
-        vectors = np.zeros((dim, dim), dtype=complex)
+        out = np.zeros((self.dim, ranks.size), dtype=complex)
         for sector in self.sectors:
-            rows = np.flatnonzero(sector.keep[orbit])
-            coef = chars[sector.label, carrier[rows]].conj() * weight[rows]
-            position = np.cumsum(sector.keep) - 1
-            vectors[np.ix_(rows, sector.columns)] = (
-                coef[:, np.newaxis] * sector.schur[position[orbit[rows]]]
+            column = np.full(self.dim, -1)
+            column[sector.columns] = np.arange(sector.columns.size)
+            picked = np.flatnonzero(column[ranks] >= 0)
+            if not picked.size:
+                continue
+            rows = np.flatnonzero(sector.keep[table.orbit])
+            coef = chars[sector.label, table.carrier[rows]].conj() * table.weights[rows]
+            position = (np.cumsum(sector.keep) - 1)[table.orbit[rows]]
+            out[np.ix_(rows, picked)] = coef[:, np.newaxis] * sector.schur[
+                np.ix_(position, column[ranks[picked]])
+            ]
+        return out
+
+    def overlaps(self, states) -> np.ndarray:
+        """<v_m|x> for every rank m and every column x of ``states``.
+
+        The adjoint of vectors(): ``states`` is one full-basis vector of
+        shape (D,) or a block (D, c), and row m of the result, of the
+        same shape, holds the overlaps with eigenvector m.  The sector
+        components of x,
+
+            <r, k|x> = sum_g chi_k(g) x[g r] / sqrt(|G| S_r),
+
+        are character sums, one DFT over the cyclic factors of the group
+        (np.fft, which needs no BLAS); conj(Q_k)^T of each sector then
+        turns them into eigenbasis coefficients.  The sector bases are
+        orthonormal and jointly complete, so for a unitary V this is
+        V^H x.
+        """
+        x = np.asarray(states)
+        if x.ndim not in (1, 2) or x.shape[0] != self.dim:
+            raise ValueError(
+                f"states must have shape ({self.dim},) or ({self.dim}, c), got {x.shape}"
             )
+        block = x.reshape(self.dim, -1)
+        group = self.group
+        table = group.orbit_table
+        # gathered[g, a, c] = x[g(r_a), c], with g spread over the cyclic factors
+        gathered = block[group.images[:, table.reps]]
+        axes = tuple(range(len(group.orders)))
+        sums = np.fft.ifftn(
+            gathered.reshape(group.orders + gathered.shape[1:]), axes=axes, norm="forward"
+        ).reshape(gathered.shape)
+        out = np.empty(block.shape, dtype=complex)
+        for sector in self.sectors:
+            norm = np.sqrt(group.order * table.stab_sums[sector.label, sector.keep])
+            components = sums[sector.label, sector.keep] / norm[:, np.newaxis]
+            out[sector.columns] = sector.schur.conj().T @ components
+        return out.reshape(x.shape)
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """vectors() of every rank, built on first access, then cached and
+        read-only.  The sector bases are orthonormal and jointly
+        complete, so the embedded vectors form a unitary matrix.
+        """
+        vectors = self.vectors(np.arange(self.dim))
         vectors.setflags(write=False)
         return vectors
 
 
+@_blas.one_thread()
 def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     """Eigendecomposition of the propagator, one symmetry sector at a time.
 
@@ -471,7 +554,9 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     so ties keep sector order; a level and its copy in the partner
     sector tie exactly).  The result keeps the Schur vectors per
     sector; the dense D x D ``eigenvectors`` is embedded only when read,
-    and lattices above DENSE_SITE_CAP sites are refused.
+    and lattices above DENSE_SITE_CAP sites are refused.  The bundled
+    OpenBLAS builds run on one thread meanwhile, so the levels do not
+    depend on the thread count.
     """
     # imported here, not at the top: it takes about 0.3 s and 28 MB,
     # which the dynamics commands would pay for nothing
@@ -484,10 +569,7 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     partner = group.conjugate_sectors()
     factored = np.flatnonzero(np.arange(group.order) <= partner)
 
-    reps, _ = group.orbits()
-    fixed = images[:, reps] == reps
-    # S_r per sector: the stabilizer size when chi is trivial on it, else 0
-    stab_sums = np.rint((chars @ fixed).real)
+    reps, stab_sums = group.orbit_table.reps, group.orbit_table.stab_sums
     # gathered[g, a, b] = U[r_a, g(r_b)]
     gathered = op.entries(reps[np.newaxis, :, np.newaxis], images[:, reps][:, np.newaxis, :])
     blocks = np.einsum("kg,gab->kab", chars[factored].conj(), gathered)

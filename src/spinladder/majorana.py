@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .floquet import FloquetOperator, QuasienergySpectrum, fold_quasienergy
 from .lattice import DENSE_SITE_CAP, Lattice, check_site_cap
 from .pauli import PauliString
@@ -229,6 +230,7 @@ class SpectralFunctions:
     spi_2: float
 
 
+@_blas.one_thread()
 def corner_spectral_functions(
     spectrum: QuasienergySpectrum,
     lattice: Lattice,
@@ -248,6 +250,13 @@ def corner_spectral_functions(
     level of momentum sector k and its copy in sector -k are exactly
     equal and sort in sector order (see diagonalize), so which of the
     two states holds a sampled rank is fixed by the sector numbering.
+
+    Only the chi sampled eigenvectors are embedded in the full basis
+    (spectrum.vectors); each corner string acts on that D x chi block
+    in one call, and spectrum.overlaps projects the images onto every
+    sector basis, which gives <v_m|gamma v_n> for all m.  No D x D
+    matrix is built, and the bundled OpenBLAS builds run on one thread,
+    so the weights do not depend on the thread count.
     """
     dim = spectrum.dim
     if config.chi > dim:
@@ -261,7 +270,7 @@ def corner_spectral_functions(
 
     sampled = (np.arange(config.chi) * dim) // config.chi
     eps = spectrum.quasienergies
-    vecs = spectrum.eigenvectors
+    vecs = spectrum.vectors(sampled)
 
     # wrapped gap eps_n - eps_m for sampled n against every m
     gaps = fold_quasienergy(eps[sampled, None] - eps[None, :], spectrum.period)
@@ -270,8 +279,8 @@ def corner_spectral_functions(
 
     out = []
     for mode in corner_modes(lattice):
-        gv = np.column_stack([mode.string.apply(vecs[:, m]) for m in sampled])
-        masses = np.abs(gv.conj().T @ vecs) ** 2  # (chi, dim): row n, column m
+        # (chi, dim): row n, column m
+        masses = np.abs(spectrum.overlaps(mode.string.apply(vecs)).T) ** 2
         total = masses.sum()
         s0 = masses[in_zero].sum() / total
         spi = masses[in_pi].sum() / total

@@ -138,14 +138,16 @@ class PauliString:
         return self.phase * mat
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """Matrix-free action on a state vector, O(2**n) time."""
+        """Matrix-free action on a state vector (2**n,) or on each column
+        of a block (2**n, m), O(2**n) time per column.  Each column of a
+        block gets exactly the single-vector result."""
         state = np.asarray(state)
         dim = 1 << self.n_sites
-        if state.shape != (dim,):
-            raise ValueError(f"state must have shape ({dim},), got {state.shape}")
+        if state.ndim not in (1, 2) or state.shape[0] != dim:
+            raise ValueError(f"state must have shape ({dim},) or ({dim}, m), got {state.shape}")
         idx = np.arange(dim)
         signed = np.where(_bit_parity(idx & self.z_mask), -self.phase, self.phase)
-        signed = signed * state
+        signed = signed.reshape((dim,) + (1,) * (state.ndim - 1)) * state
         return signed[idx ^ self.x_mask]
 
     # -- display --------------------------------------------------------

@@ -221,8 +221,9 @@ class Embedded(Exception):
 
 
 def test_spectrum_commands_never_embed_eigenvectors(tmp_path, monkeypatch):
-    """spectrum and spacing-table read levels only; the D x D eigenvector
-    matrix is built only for the corner spectral functions."""
+    """spectrum and spacing-table read levels only, and corner-spectral
+    embeds only its sampled eigenvectors: no command builds the D x D
+    eigenvector matrix."""
 
     def embed(spectrum):
         raise Embedded
@@ -233,11 +234,12 @@ def test_spectrum_commands_never_embed_eigenvectors(tmp_path, monkeypatch):
     assert cli.main(["spectrum", "--out", str(out), "--nx", "3", "--ny", "2", *torus]) == 0
     assert cli.main(["spacing-table", "--out", str(out), "--sizes", "3x2,1x8", *torus]) == 0
     assert [r[0] for r in read_csv(out)[2]] == ["3x2", "1x8"]
-    with pytest.raises(Embedded):
-        cli.main([
-            "corner-spectral", "--out", str(out), "--nx", "3", "--ny", "2", *torus,
-            "--chi", "4", "--window", "0.01", "--values", "0.8",
-        ])
+    for lattice in (torus, ["--bc-x", "open", "--bc-y", "open"]):
+        assert cli.main([
+            "corner-spectral", "--out", str(out), "--nx", "3", "--ny", "2", *lattice,
+            "--chi", "4", "--window", "0.01", "--values", "0.5,0.8",
+        ]) == 0
+        assert [r[0] for r in read_csv(out)[2]] == ["0.5", "0.8"]
 
 
 def test_phase1d_labels_match_classifier(tmp_path):
@@ -476,6 +478,32 @@ def test_corner_spectral_independent_of_blas_threads(tmp_path):
         "--bc-x", "periodic", "--bc-y", "periodic", "--dedup", "false",
         "--jx", "0.05", "--jy", "0.6", "--chi", "16", "--window", "0.01",
         "--values", "0.8",
+    ], "corner.csv")
+    assert len(artifacts["1"]) == 1
+    assert artifacts["1"] == artifacts["2"]
+
+
+def test_open_spectrum_independent_of_blas_threads(tmp_path):
+    """The open 1x10 chain splits into two blocks of 512 states, large
+    enough for threaded LAPACK; diagonalize runs it on one thread."""
+    artifacts = rows_at_blas_threads(tmp_path, [
+        "spectrum", "--nx", "1", "--ny", "10", "--jx", "0.05", "--jy", "0.6", "--h", "0.8",
+    ], "spectrum.csv")
+    assert len(artifacts["1"]) == 1024
+    assert artifacts["1"] == artifacts["2"]
+
+
+@pytest.mark.parametrize("lattice", [
+    ["--nx", "5", "--ny", "2"],
+    ["--nx", "6", "--ny", "2", "--bc-x", "periodic", "--bc-y", "periodic", "--dedup", "false"],
+])
+def test_large_corner_spectral_independent_of_blas_threads(tmp_path, lattice):
+    """Blocks of 512 states (open 5x2) and products of about 170 x 170 x
+    16 per sector (6x2 torus) would both reach a second BLAS thread;
+    the corner weights must not move with it."""
+    artifacts = rows_at_blas_threads(tmp_path, [
+        "corner-spectral", *lattice, "--jx", "0.05", "--jy", "0.6",
+        "--chi", "16", "--window", "0.01", "--values", "0.8",
     ], "corner.csv")
     assert len(artifacts["1"]) == 1
     assert artifacts["1"] == artifacts["2"]

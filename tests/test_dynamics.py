@@ -222,8 +222,23 @@ def test_trace_records_norm_drift():
     assert 0.0 <= trace.max_norm_drift <= 1e-12
 
 
-ONE_CORE_SCRIPT = """
-import math, resource, time
+#: defines wait_for_quiet(): OpenBLAS workers spin for 50 to 100 ms
+#: after numpy or scipy loads them, so a timed window waits until a
+#: 50 ms sleep costs almost no CPU time
+QUIET_PRELUDE = """
+import time
+
+def wait_for_quiet():
+    for _ in range(100):
+        cpu0 = time.process_time()
+        time.sleep(0.05)
+        if time.process_time() - cpu0 < 0.002:
+            return
+    raise RuntimeError("the process never went quiet")
+"""
+
+ONE_CORE_SCRIPT = QUIET_PRELUDE + """
+import math, resource
 from spinladder.dynamics import evolve_stroboscopic, prepare_state, uniform_tilt
 from spinladder.floquet import DriveParams, build_floquet
 from spinladder.lattice import make_lattice
@@ -233,6 +248,7 @@ op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.9, 2.0))
 state = prepare_state(lat, uniform_tilt(16, math.pi / 4))
 evolve_stroboscopic(op, state, 2, axis=math.pi / 4)
 periods = 30
+wait_for_quiet()
 faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 cpu0, wall0 = time.process_time(), time.perf_counter()
 evolve_stroboscopic(op, state, periods, axis=math.pi / 4)
@@ -241,27 +257,64 @@ faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
 print(ratio, faults / periods)
 """
 
+CORNER_SCAN_SCRIPT = QUIET_PRELUDE + """
+from spinladder.floquet import DriveParams, build_floquet, diagonalize
+from spinladder.lattice import make_lattice
+from spinladder.majorana import SpectralFunctionConfig, corner_spectral_functions
+
+lat = make_lattice(4, 2, bc_x="periodic", bc_y="periodic", dedup_coincident_bonds=False)
+config = SpectralFunctionConfig(chi=16, window=0.01)
+
+def scan(values):
+    for h in values:
+        op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, h, 2.0))
+        corner_spectral_functions(diagonalize(op), lat, config)
+
+scan([0.8])
+wait_for_quiet()
+cpu0, wall0 = time.process_time(), time.perf_counter()
+scan([0.1 * k for k in range(1, 10)] * 3)
+print((time.process_time() - cpu0) / (time.perf_counter() - wall0))
+"""
+
+
+def run_at_two_blas_threads(script):
+    """Run ``script`` in a fresh interpreter at two OpenBLAS threads and
+    return the numbers it prints."""
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, check=True, capture_output=True, text=True, timeout=300,
+    )
+    return [float(v) for v in done.stdout.split()]
+
+
+def assert_one_core(ratio):
+    """A spinning second thread would bring CPU time to about twice the
+    wall time; load on the host can only lower the ratio."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the CPU/wall check needs two CPUs")
+    assert ratio <= 1.3, f"CPU time is {ratio:.2f} x wall time"
+
 
 def test_evolution_stays_on_one_core():
     """A tilted 1x16 evolution allocates its buffers once, not per
     period: each fresh 1 MiB state per period would cost 256 minor page
     faults whenever the allocator has handed the pages back.  At two
     OpenBLAS threads no gemm of the kick and no norm or measurement sum
-    wakes the second thread: a spinning second thread would bring CPU
-    time to about twice the wall time, and load on the host can only
-    lower the ratio."""
-    src = str(Path(dynamics.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", ONE_CORE_SCRIPT],
-        env=env, check=True, capture_output=True, text=True, timeout=300,
-    )
-    ratio, faults = map(float, done.stdout.split())
+    wakes the second thread."""
+    ratio, faults = run_at_two_blas_threads(ONE_CORE_SCRIPT)
     assert faults <= 8, f"{faults:.1f} minor page faults per period"
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("the CPU/wall check needs two CPUs")
-    assert ratio <= 1.3, f"CPU time is {ratio:.2f} x wall time"
+    assert_one_core(ratio)
+
+
+def test_corner_scan_stays_on_one_core():
+    """A warmed 4x2 corner scan (diagonalize and the corner weights, 27
+    h values) never wakes the second OpenBLAS thread."""
+    (ratio,) = run_at_two_blas_threads(CORNER_SCAN_SCRIPT)
+    assert_one_core(ratio)
 
 
 def test_ideal_kick_alternates_exactly():

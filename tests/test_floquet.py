@@ -240,7 +240,7 @@ def test_sector_spectrum_matches_dense_schur(n_x, n_y, bc, dedup):
 def _sector_basis(group, label):
     """Columns sum_g conj(chi(g)) |g r> / norm for every representative r
     whose state exists in sector ``label``, built from the group alone."""
-    reps, _ = group.orbits()
+    reps = group.orbit_table.reps
     basis = np.zeros((group.images.shape[1], reps.size), dtype=complex)
     weights = np.broadcast_to(group.characters()[label].conj()[:, np.newaxis], (group.order, reps.size))
     np.add.at(basis, (group.images[:, reps], np.arange(reps.size)), weights)
@@ -280,6 +280,36 @@ def test_eigenvectors_built_once_and_readonly():
     assert spec.eigenvectors is vecs
     with pytest.raises(ValueError):
         vecs[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "n_x,n_y,bc", [(3, 2, "open"), (1, 8, "open"), (4, 2, "periodic"), (1, 8, "periodic")]
+)
+def test_vectors_and_overlaps_match_eigenvectors(n_x, n_y, bc):
+    """vectors() embeds columns of ``eigenvectors`` bit for bit, and
+    overlaps() is V^H x, on ranks of copied partner sectors too."""
+    lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc, dedup_coincident_bonds=False)
+    spec = diagonalize(build_floquet(lat, DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0)))
+    rng = np.random.default_rng(5)
+    partner = spec.group.conjugate_sectors()
+    copied = [s.columns for s in spec.sectors if s.label > partner[s.label]]
+    assert bool(copied) == (bc == "periodic")
+    ranks = np.concatenate([rng.choice(spec.dim, 6, replace=False), *[c[:1] for c in copied]])
+    block = spec.vectors(ranks)
+    states = rng.normal(size=(lat.dim, 3)) + 1j * rng.normal(size=(lat.dim, 3))
+    got = spec.overlaps(states)
+    single = spec.overlaps(states[:, 0])
+
+    vecs = spec.eigenvectors
+    assert np.array_equal(block, vecs[:, ranks])
+    np.testing.assert_allclose(got, vecs.conj().T @ states, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(single, got[:, 0], rtol=0, atol=1e-12)
+    # adjoint pair: the overlaps of an embedded eigenvector pick out its rank
+    np.testing.assert_allclose(
+        spec.overlaps(block), np.eye(spec.dim)[:, ranks], rtol=0, atol=1e-12
+    )
+    with pytest.raises(ValueError):
+        spec.overlaps(states[1:])
 
 
 def test_identity_drive_spectrum_is_zero():

@@ -187,17 +187,39 @@ def brute_force_spectral(spec, lattice, chi, window):
     return out
 
 
+def assert_matches_brute_force(spec, lattice, config):
+    s = corner_spectral_functions(spec, lattice, config)
+    (bz1, bp1), (bz2, bp2) = brute_force_spectral(spec, lattice, config.chi, config.window)
+    for got, want in ((s.s0_1, bz1), (s.spi_1, bp1), (s.s0_2, bz2), (s.spi_2, bp2)):
+        assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_spectral_functions_match_brute_force():
     lat = make_lattice(2, 2, bc_x="periodic", bc_y="periodic", dedup_coincident_bonds=False)
     params = DriveParams(j_x=0.23, j_y=0.71, h=0.64, period=2.0)
     spec = diagonalize(build_floquet(lat, params))
-    config = SpectralFunctionConfig(chi=6, window=0.05)
-    s = corner_spectral_functions(spec, lat, config)
-    (bz1, bp1), (bz2, bp2) = brute_force_spectral(spec, lat, config.chi, config.window)
-    assert s.s0_1 == pytest.approx(bz1, abs=1e-12)
-    assert s.spi_1 == pytest.approx(bp1, abs=1e-12)
-    assert s.s0_2 == pytest.approx(bz2, abs=1e-12)
-    assert s.spi_2 == pytest.approx(bp2, abs=1e-12)
+    assert_matches_brute_force(spec, lat, SpectralFunctionConfig(chi=6, window=0.05))
+
+
+@pytest.mark.parametrize("n_x,n_y", [(2, 3), (1, 8)])
+def test_spectral_functions_every_state_match_brute_force(n_x, n_y):
+    """Open lattices (spin-flip sectors only), every state sampled."""
+    lat = make_lattice(n_x, n_y)
+    spec = diagonalize(build_floquet(lat, DriveParams(j_x=0.23, j_y=0.71, h=0.64, period=2.0)))
+    assert_matches_brute_force(spec, lat, SpectralFunctionConfig(chi=lat.dim, window=0.05))
+
+
+def test_spectral_functions_tied_ranks_match_brute_force():
+    """On the 4x2 torus at h = 0.2 pi/T many levels tie exactly with
+    their time-reversed copies; both paths must read the same vector at
+    each sampled rank."""
+    lat = make_lattice(4, 2, bc_x="periodic", bc_y="periodic", dedup_coincident_bonds=False)
+    spec = diagonalize(build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.2, 2.0)))
+    config = SpectralFunctionConfig(chi=16, window=0.01)
+    sampled = np.arange(config.chi) * spec.dim // config.chi
+    eps = spec.quasienergies
+    assert np.count_nonzero(eps[sampled] == eps[sampled + 1]) >= 3
+    assert_matches_brute_force(spec, lat, config)
 
 
 def test_spectral_functions_bounded_and_phase_invariant():

@@ -96,6 +96,26 @@ def test_apply_matches_matvec(p, seed):
     np.testing.assert_allclose(p.apply(v), dense_oracle(p) @ v, atol=1e-15)
 
 
+@given(strings(), st.integers(0, 1000), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_apply_block_matches_columns(p, seed, width):
+    """A (D, m) block gives, column by column, exactly the vector result."""
+    rng = np.random.default_rng(seed)
+    shape = (2**p.n_sites, width)
+    block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    got = p.apply(block)
+    assert got.shape == shape
+    for j in range(width):
+        assert np.array_equal(got[:, j], p.apply(block[:, j]))
+
+
+def test_apply_rejects_wrong_shapes():
+    p = PauliString.single(3, 1, "y")
+    for shape in ((4,), (9,), (4, 2), (8, 2, 2), ()):
+        with pytest.raises(ValueError):
+            p.apply(np.zeros(shape, dtype=complex))
+
+
 def test_single_site_factories():
     n = 3
     for kind, mat in (("x", X), ("y", Y), ("z", Z)):

@@ -56,33 +56,6 @@ class ConfigError(ValueError):
     """Malformed, inconsistent, or incomplete run configuration."""
 
 
-_LATTICE_DEFAULTS: dict[str, Any] = {
-    "n_x": 4,
-    "n_y": 2,
-    "bc_x": "open",
-    "bc_y": "open",
-    "dedup": True,
-}
-_DRIVE_DEFAULTS: dict[str, Any] = {
-    "units": "pi_over_t",
-    "j_x": 0.05,
-    "j_y": 0.6,
-    "h": 0.8,
-    "period": 2.0,
-}
-_OUTPUT_DEFAULTS: dict[str, Any] = {"path": None, "format": "csv"}
-
-_TASK_DEFAULTS: dict[str, dict[str, Any]] = {
-    "spectrum": {},
-    "spacing-table": {"sizes": DEFAULT_SIZES},
-    "dynamics": {"periods": 2000, "init": "flip:1", "axis": 0.0},
-    "power": {"periods": 2000, "init": "flip:1", "axis": 0.0},
-    "scan": {"h_values": [], "periods": 2000, "init": "up", "axis": 0.0},
-    "corner-spectral": {"chi": 16, "window": 0.01, "scan_param": "h", "values": []},
-    "phase1d": {"h_values": [], "j_values": []},
-}
-
-
 def _parse_float_list(text: str) -> list[float]:
     if not text.strip():
         return []
@@ -114,7 +87,9 @@ class _Flag(NamedTuple):
     ``kind`` is the tuple of values the config value may take, or its
     type written as an annotation (``list[float]``, ``str | None``;
     ``object`` where the reader checks the value itself); ``parse``
-    reads list and bool flag text.
+    reads list and bool flag text.  ``default`` is the value of a
+    lattice, drive or output key; task defaults are per subcommand
+    (see _COMMANDS).
     """
 
     name: str
@@ -123,24 +98,29 @@ class _Flag(NamedTuple):
     kind: Any
     help: str
     parse: Callable[[str], Any] | None = None
+    default: Any = None
 
 
 #: every config flag, in help order; a subcommand takes a task flag
 #: exactly when its task block has the flag's key
 _FLAGS: tuple[_Flag, ...] = (
     _Flag("--out", "output", "path", str | None, "output path (overrides config)"),
-    _Flag("--format", "output", "format", ("csv", "json"), "output format"),
-    _Flag("--nx", "lattice", "n_x", int, "lattice extent along x"),
-    _Flag("--ny", "lattice", "n_y", int, "lattice extent along y"),
-    _Flag("--bc-x", "lattice", "bc_x", ("open", "periodic"), "x boundary condition"),
-    _Flag("--bc-y", "lattice", "bc_y", ("open", "periodic"), "y boundary condition"),
+    _Flag("--format", "output", "format", ("csv", "json"), "output format", default="csv"),
+    _Flag("--nx", "lattice", "n_x", int, "lattice extent along x", default=4),
+    _Flag("--ny", "lattice", "n_y", int, "lattice extent along y", default=2),
+    _Flag("--bc-x", "lattice", "bc_x", ("open", "periodic"), "x boundary condition",
+          default="open"),
+    _Flag("--bc-y", "lattice", "bc_y", ("open", "periodic"), "y boundary condition",
+          default="open"),
     _Flag("--dedup", "lattice", "dedup", bool,
-          "drop coincident wrap bonds instead of doubling them", lambda text: text == "true"),
-    _Flag("--units", "drive", "units", ("pi_over_t", "raw"), "drive coupling units"),
-    _Flag("--jx", "drive", "j_x", float, "leg coupling"),
-    _Flag("--jy", "drive", "j_y", float, "rung coupling"),
-    _Flag("--h", "drive", "h", float, "kick field"),
-    _Flag("--period", "drive", "period", float, "drive period T"),
+          "drop coincident wrap bonds instead of doubling them", lambda text: text == "true",
+          default=True),
+    _Flag("--units", "drive", "units", ("pi_over_t", "raw"), "drive coupling units",
+          default="pi_over_t"),
+    _Flag("--jx", "drive", "j_x", float, "leg coupling", default=0.05),
+    _Flag("--jy", "drive", "j_y", float, "rung coupling", default=0.6),
+    _Flag("--h", "drive", "h", float, "kick field", default=0.8),
+    _Flag("--period", "drive", "period", float, "drive period T", default=2.0),
     _Flag("--periods", "task", "periods", int, "number of drive periods M"),
     _Flag("--init", "task", "init", object, "initial state: up | down | flip:K | tilt:X"),
     _Flag("--axis", "task", "axis", float, "measurement axis angle from +z, radians"),
@@ -211,12 +191,12 @@ def resolve_config(command: str, file_config: dict | None, overrides: dict) -> d
     file_config = file_config or {}
     if not isinstance(file_config, dict):
         raise ConfigError("config file must contain a JSON object")
-    config = {
-        "lattice": dict(_LATTICE_DEFAULTS),
-        "drive": dict(_DRIVE_DEFAULTS),
-        "task": dict(_TASK_DEFAULTS[command]),
-        "output": dict(_OUTPUT_DEFAULTS),
-    }
+    # a deep copy, so editing the result's lists leaves the defaults alone
+    task = copy.deepcopy(_COMMANDS[command].task)
+    config = {"lattice": {}, "drive": {}, "task": task, "output": {}}
+    for flag in _FLAGS:
+        if flag.block != "task":
+            config[flag.block][flag.key] = flag.default
     for source in (file_config, overrides):
         unknown = set(source) - set(config)
         if unknown:
@@ -366,7 +346,11 @@ def read_emitted_config(path: str) -> tuple[str, dict]:
     return command, config
 
 
-def cmd_spectrum(config: dict) -> tuple[list[str], list[list[Any]]]:
+#: what a subcommand handler returns: columns, rows and header notes
+_Table = tuple[list[str], list[list[Any]], list[str]]
+
+
+def cmd_spectrum(config: dict) -> _Table:
     """Quasienergies of the full propagator: index, energy, residual."""
     lattice = resolve_lattice(config)
     params = resolve_drive(config)
@@ -376,19 +360,21 @@ def cmd_spectrum(config: dict) -> tuple[list[str], list[list[Any]]]:
         [n, float(spectrum.quasienergies[n]), float(spectrum.residuals[n])]
         for n in range(spectrum.dim)
     ]
-    return ["index", "quasienergy", "residual"], rows
+    return ["index", "quasienergy", "residual"], rows, ["quasienergies in radians per unit time"]
 
 
-def cmd_spacing_table(config: dict) -> tuple[list[str], list[list[Any]]]:
+def cmd_spacing_table(config: dict) -> _Table:
     """Min/max deviation of the spacing from pi/T, one row per size.
 
     Deviations are quoted in units of pi/T so rows compare directly with
-    tabulated values.  Sizes that fail (cap or tolerance) are reported
-    on stderr and skipped; the remaining rows are still emitted.
+    tabulated values.  A size that fails (cap or tolerance) gets no row
+    but one header note, also printed on stderr; the remaining rows are
+    still emitted.
     """
     params = resolve_drive(config)
     unit = math.pi / params.period
     rows = []
+    notes = ["deviations in units of pi/T"]
     for n_x, n_y in config["task"]["sizes"]:
         label = f"{n_x}x{n_y}"
         try:
@@ -396,10 +382,11 @@ def cmd_spacing_table(config: dict) -> tuple[list[str], list[list[Any]]]:
             op = build_floquet(lattice, params)
             stats = spacing_stats(diagonalize(op))
         except (SizeCapError, NumericalToleranceError, ValueError) as exc:
-            print(f"spacing-table: {label} failed: {exc}", file=sys.stderr)
+            notes.append(f"{label} failed: {exc}")
+            print(f"spacing-table: {notes[-1]}", file=sys.stderr)
             continue
         rows.append([label, stats.min_dev / unit, stats.max_dev / unit])
-    return ["size", "min_dev", "max_dev"], rows
+    return ["size", "min_dev", "max_dev"], rows, notes
 
 
 def _trace_runner(config: dict) -> Callable[..., MagnetizationTrace]:
@@ -424,50 +411,51 @@ def _trace_runner(config: dict) -> Callable[..., MagnetizationTrace]:
     return run
 
 
-def cmd_dynamics(config: dict) -> tuple[list[str], list[list[Any]]]:
+def cmd_dynamics(config: dict) -> _Table:
     """Stroboscopic magnetization trace: period index, total magnetization."""
     trace = _trace_runner(config)()
     rows = [[int(n), float(m)] for n, m in zip(trace.times, trace.values)]
-    return ["n", "magnetization"], rows
+    return ["n", "magnetization"], rows, []
 
 
-def cmd_power(config: dict) -> tuple[list[str], list[list[Any]]]:
+def cmd_power(config: dict) -> _Table:
     """Discrete power spectrum of the stroboscopic trace."""
     spectrum = power_spectrum(_trace_runner(config)())
     rows = [
         [float(w), float(m)]
         for w, m in zip(spectrum.frequencies, spectrum.magnitudes)
     ]
-    return ["omega", "magnitude"], rows
+    return ["omega", "magnitude"], rows, ["omega in radians per unit time"]
 
 
-def cmd_scan(config: dict) -> tuple[list[str], list[list[Any]]]:
+def cmd_scan(config: dict) -> _Table:
     """Subharmonic peak height versus kick field h on one lattice."""
     run = _trace_runner(config)
     rows = [
         [float(v), power_spectrum(run(h=v)).subharmonic_amplitude]
         for v in config["task"]["h_values"]
     ]
-    return ["h", "peak"], rows
+    return ["h", "peak"], rows, []
 
 
-def cmd_corner_spectral(config: dict) -> tuple[list[str], list[list[Any]]]:
+def cmd_corner_spectral(config: dict) -> _Table:
     """Corner spectral functions along a scan of h or j_y."""
     lattice = resolve_lattice(config)
-    resolve_drive(config)  # a bad drive block fails even when no values are given
     task = config["task"]
     scan_param = task["scan_param"]
     sf_config = SpectralFunctionConfig(chi=int(task["chi"]), window=float(task["window"]))
+    # the whole task fails here, before the scan, even when no values are given
+    sf_config.check(lattice.dim, resolve_drive(config).period)
     rows = []
     for value in task["values"]:
         point = resolve_drive(config, **{scan_param: value})
         op = build_floquet(lattice, point)
         s = corner_spectral_functions(diagonalize(op), lattice, sf_config)
         rows.append([float(value), s.s0_1, s.s0_2, s.spi_1, s.spi_2])
-    return [scan_param, "s0_1", "s0_2", "spi_1", "spi_2"], rows
+    return [scan_param, "s0_1", "s0_2", "spi_1", "spi_2"], rows, []
 
 
-def cmd_phase1d(config: dict) -> tuple[list[str], list[list[Any]]]:
+def cmd_phase1d(config: dict) -> _Table:
     """Analytic single-chain phase raster over a (h, J) angle grid.
 
     Grid values are raw kick angles in radians inside (0, pi/2); each
@@ -481,17 +469,27 @@ def cmd_phase1d(config: dict) -> tuple[list[str], list[list[Any]]]:
             label = classify_phase(float(h), float(j))
             tm = transfer_matrix(float(h), float(j))
             rows.append([float(h), float(j), label.value, tm.e_minus, tm.e_plus])
-    return ["h", "j", "label", "e_minus", "e_plus"], rows
+    notes = ["h and j are raw kick angles in radians"]
+    return ["h", "j", "label", "e_minus", "e_plus"], rows, notes
 
 
-_COMMANDS: dict[str, Callable[[dict], tuple[list[str], list[list[Any]]]]] = {
-    "spectrum": cmd_spectrum,
-    "spacing-table": cmd_spacing_table,
-    "dynamics": cmd_dynamics,
-    "power": cmd_power,
-    "scan": cmd_scan,
-    "corner-spectral": cmd_corner_spectral,
-    "phase1d": cmd_phase1d,
+class _Command(NamedTuple):
+    """One subcommand: its handler and the defaults of its task block."""
+
+    run: Callable[[dict], _Table]
+    task: dict[str, Any]
+
+
+_COMMANDS: dict[str, _Command] = {
+    "spectrum": _Command(cmd_spectrum, {}),
+    "spacing-table": _Command(cmd_spacing_table, {"sizes": DEFAULT_SIZES}),
+    "dynamics": _Command(cmd_dynamics, {"periods": 2000, "init": "flip:1", "axis": 0.0}),
+    "power": _Command(cmd_power, {"periods": 2000, "init": "flip:1", "axis": 0.0}),
+    "scan": _Command(cmd_scan, {"h_values": [], "periods": 2000, "init": "up", "axis": 0.0}),
+    "corner-spectral": _Command(
+        cmd_corner_spectral, {"chi": 16, "window": 0.01, "scan_param": "h", "values": []}
+    ),
+    "phase1d": _Command(cmd_phase1d, {"h_values": [], "j_values": []}),
 }
 
 
@@ -501,11 +499,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact kicked spin-ladder simulations, one artifact per run.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler in _COMMANDS.items():
-        p = sub.add_parser(name, help=handler.__doc__.splitlines()[0])
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.run.__doc__.splitlines()[0])
         p.add_argument("--config", help="JSON config file (blocks: lattice, drive, task, output)")
         for flag in _FLAGS:
-            if flag.block != "task" or flag.key in _TASK_DEFAULTS[name]:
+            if flag.block != "task" or flag.key in command.task:
                 choices = ("true", "false") if flag.kind is bool else flag.kind
                 p.add_argument(
                     flag.name,
@@ -528,29 +526,13 @@ def _collect_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
-_COMMAND_NOTES: dict[str, tuple[str, ...]] = {
-    "spacing-table": ("deviations in units of pi/T",),
-    "spectrum": ("quasienergies in radians per unit time",),
-    "power": ("omega in radians per unit time",),
-    "phase1d": ("h and j are raw kick angles in radians",),
-}
-
-
 def run_command(command: str, config: dict) -> None:
     """Execute one resolved config and write its artifact."""
     path = config["output"]["path"]
     if not path:
         raise ConfigError("no output path; set output.path or pass --out")
-    columns, rows = _COMMANDS[command](config)
-    emit(
-        path,
-        config["output"]["format"],
-        command,
-        config,
-        columns,
-        rows,
-        comments=_COMMAND_NOTES.get(command, ()),
-    )
+    columns, rows, notes = _COMMANDS[command].run(config)
+    emit(path, config["output"]["format"], command, config, columns, rows, notes)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

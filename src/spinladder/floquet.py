@@ -334,8 +334,7 @@ class SymmetryGroup:
         carrier = np.argmax(self.images[:, reps[orbit]] == np.arange(dim), axis=0)
         fixed = self.images[:, reps] == reps
         stab_sums = np.rint((self.characters() @ fixed).real)
-        weights = np.sqrt(fixed.sum(axis=0)[orbit] / self.order)
-        table = OrbitTable(reps, orbit, carrier, stab_sums, weights)
+        table = OrbitTable(reps, orbit, carrier, stab_sums)
         for arr in table:
             arr.setflags(write=False)
         return table
@@ -349,15 +348,14 @@ class OrbitTable(NamedTuple):
     ``carrier[b]`` maps the orbit's representative onto b.
     ``stab_sums[k, a]``, the sum of the characters of sector k over the
     stabilizer of reps[a], is the stabilizer size when the character is
-    trivial on it and 0 otherwise.  ``weights[b]`` is
-    sqrt(|stabilizer| / |G|) of b's orbit.
+    trivial on it and 0 otherwise; row 0, the trivial sector, holds the
+    stabilizer sizes.
     """
 
     reps: np.ndarray
     orbit: np.ndarray
     carrier: np.ndarray
     stab_sums: np.ndarray
-    weights: np.ndarray
 
 
 def symmetry_group(lattice: Lattice) -> SymmetryGroup:
@@ -436,14 +434,15 @@ class QuasienergySpectrum:
         State b = g r of orbit r has amplitude
         sum_{g' r = b} conj(chi(g')) / sqrt(|G| S_r) = conj(chi(g)) sqrt(|stab r| / |G|)
         in |r, k>, since chi is constant on the coset g * stab(r); the
-        orbit table holds g (``carrier``) and the square root
-        (``weights``).  Every entry is one product of that amplitude and
+        orbit table holds g (``carrier``) and |stab r| (row 0 of
+        ``stab_sums``).  Every entry is one product of that amplitude and
         a Schur vector entry, so a column does not depend on which other
         ranks are asked for.
         """
         ranks = np.asarray(ranks, dtype=np.intp).reshape(-1)
         table = self.group.orbit_table
         chars = self.group.characters()
+        weights = np.sqrt(table.stab_sums[0, table.orbit] / self.group.order)
         out = np.zeros((self.dim, ranks.size), dtype=complex)
         for sector in self.sectors:
             column = np.full(self.dim, -1)
@@ -452,7 +451,7 @@ class QuasienergySpectrum:
             if not picked.size:
                 continue
             rows = np.flatnonzero(sector.keep[table.orbit])
-            coef = chars[sector.label, table.carrier[rows]].conj() * table.weights[rows]
+            coef = chars[sector.label, table.carrier[rows]].conj() * weights[rows]
             position = (np.cumsum(sector.keep) - 1)[table.orbit[rows]]
             out[np.ix_(rows, picked)] = coef[:, np.newaxis] * sector.schur[
                 np.ix_(position, column[ranks[picked]])

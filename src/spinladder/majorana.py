@@ -218,6 +218,19 @@ class SpectralFunctionConfig:
         if not self.window > 0:  # NaN fails too
             raise ValueError(f"window must be positive, got {self.window!r}")
 
+    def check(self, dim: int, period: float) -> None:
+        """Reject sampling that a spectrum of ``dim`` levels and drive
+        ``period`` cannot serve: more samples than levels, or windows
+        around 0 and pi/T that overlap."""
+        if self.chi > dim:
+            raise ValueError(f"chi = {self.chi} exceeds spectrum size {dim}")
+        w = np.pi / period
+        if self.window >= 0.5 * w:
+            raise ValueError(
+                f"window {self.window} too wide for zone half-width {w:.4f}; "
+                "the 0 and pi/T windows would overlap"
+            )
+
 
 @dataclass(frozen=True)
 class SpectralFunctions:
@@ -259,15 +272,8 @@ def corner_spectral_functions(
     so the weights do not depend on the thread count.
     """
     dim = spectrum.dim
-    if config.chi > dim:
-        raise ValueError(f"chi = {config.chi} exceeds spectrum size {dim}")
+    config.check(dim, spectrum.period)
     w = np.pi / spectrum.period
-    if config.window >= 0.5 * w:
-        raise ValueError(
-            f"window {config.window} too wide for zone half-width {w:.4f}; "
-            "the 0 and pi/T windows would overlap"
-        )
-
     sampled = (np.arange(config.chi) * dim) // config.chi
     eps = spectrum.quasienergies
     vecs = spectrum.vectors(sampled)

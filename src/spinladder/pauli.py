@@ -4,8 +4,9 @@ A string is stored as ``phase * prod_k X_k^{x_k} Z_k^{z_k}`` with the site
 exponents packed into two integer masks and the phase restricted to the
 exact set {1, i, -1, -i}.  A site present in both masks carries the product
 X Z = -i Y, so every n-site Pauli operator (up to one of the four phases)
-has a unique representation and products, commutators and adjoints are
-computed exactly in integer arithmetic.
+has a unique representation, and products are computed exactly in integer
+arithmetic.  Strings act on states matrix-free (``apply``) or as dense
+matrices (``to_matrix``, small systems only).
 
 Bit/basis convention (see lattice.py): bit k of a basis index corresponds
 to site k, bit value 0 means sigma_z = +1, and bit 0 is the last tensor
@@ -72,18 +73,6 @@ class PauliString:
             return cls(n_sites, z_mask=bit)
         raise ValueError(f"axis must be 'x', 'y' or 'z', got {axis!r}")
 
-    @classmethod
-    def from_label(cls, label: str, phase: complex = 1 + 0j) -> "PauliString":
-        """Build from a character string like "XIZY"; label[k] acts on site k."""
-        result = cls(len(label), phase=phase)
-        for k, ch in enumerate(label.upper()):
-            if ch == "I":
-                continue
-            if ch not in "XYZ":
-                raise ValueError(f"unknown Pauli letter {ch!r}")
-            result = result * cls.single(len(label), k, ch.lower())
-        return result
-
     # -- algebra --------------------------------------------------------
 
     def __mul__(self, other: "PauliString") -> "PauliString":
@@ -99,31 +88,6 @@ class PauliString:
             self.z_mask ^ other.z_mask,
             self.phase * other.phase * sign,
         )
-
-    def commutes_with(self, other: "PauliString") -> bool:
-        if other.n_sites != self.n_sites:
-            raise ValueError("cannot compare strings on different lattices")
-        crossings = (self.x_mask & other.z_mask).bit_count() + (
-            self.z_mask & other.x_mask
-        ).bit_count()
-        return crossings % 2 == 0
-
-    def adjoint(self) -> "PauliString":
-        # (X^x Z^z)^dag = Z^z X^x = (-1)^{|x & z|} X^x Z^z
-        sign = -1 if ((self.x_mask & self.z_mask).bit_count() & 1) else 1
-        return PauliString(
-            self.n_sites, self.x_mask, self.z_mask, sign * self.phase.conjugate()
-        )
-
-    @property
-    def is_hermitian(self) -> bool:
-        adj = self.adjoint()
-        return adj.phase == self.phase
-
-    @property
-    def weight(self) -> int:
-        """Number of sites acted on non-trivially."""
-        return (self.x_mask | self.z_mask).bit_count()
 
     # -- realization ----------------------------------------------------
 
@@ -149,17 +113,3 @@ class PauliString:
         signed = np.where(_bit_parity(idx & self.z_mask), -self.phase, self.phase)
         signed = signed.reshape((dim,) + (1,) * (state.ndim - 1)) * state
         return signed[idx ^ self.x_mask]
-
-    # -- display --------------------------------------------------------
-
-    def label(self) -> str:
-        letters = []
-        for k in range(self.n_sites):
-            xk = (self.x_mask >> k) & 1
-            zk = (self.z_mask >> k) & 1
-            letters.append({(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "W"}[(xk, zk)])
-        return "".join(letters)
-
-    def __str__(self) -> str:
-        pretty = {1 + 0j: "+", -1 + 0j: "-", 1j: "+i", -1j: "-i"}[self.phase]
-        return f"{pretty}{self.label()}"

@@ -196,13 +196,16 @@ def test_scan_checks_task_without_values(tmp_path, bad):
     assert not out.exists()
 
 
+FAILED_1X15 = "1x15 failed: diagonalize refused for 15 sites (cap 13)"
+
+
 def test_spacing_table_skips_oversized_entries(tmp_path, capsys):
     out = tmp_path / "table.csv"
     code = cli.main([
         "spacing-table", "--out", str(out), "--sizes", "1x4,1x15",
     ])
     assert code == 0
-    assert "1x15 failed" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"spacing-table: {FAILED_1X15}\n"
     comments, header, rows = read_csv(out)
     assert "# deviations in units of pi/T" in comments
     assert header == ["size", "min_dev", "max_dev"]
@@ -214,6 +217,25 @@ def test_spacing_table_skips_oversized_entries(tmp_path, capsys):
     unit = math.pi / 2.0
     assert float(rows[0][1]) == stats.min_dev / unit
     assert float(rows[0][2]) == stats.max_dev / unit
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spacing_table_notes_failed_sizes(tmp_path, fmt):
+    """A failed size gets one artifact note in either format, and
+    replaying the header regenerates the artifact byte for byte."""
+    out = tmp_path / f"table.{fmt}"
+    argv = ["spacing-table", "--out", str(out), "--format", fmt, "--sizes", "1x15,1x4"]
+    assert cli.main(argv) == 0
+    original = out.read_bytes()
+    if fmt == "json":
+        notes = json.loads(original)["notes"]
+    else:
+        notes = [line[2:] for line in read_csv(out)[0][2:]]
+    assert notes == ["deviations in units of pi/T", FAILED_1X15]
+    command, config = cli.read_emitted_config(str(out))
+    out.unlink()
+    cli.run_command(command, config)
+    assert out.read_bytes() == original
 
 
 class Embedded(Exception):
@@ -320,6 +342,15 @@ def test_config_file_with_flag_override(tmp_path):
     assert config["lattice"]["n_y"] == 3
 
 
+def test_resolved_config_shares_no_lists_with_defaults():
+    config = cli.resolve_config("scan", None, {})
+    config["task"]["h_values"].append(0.5)
+    assert cli.resolve_config("scan", None, {})["task"]["h_values"] == []
+    config = cli.resolve_config("spacing-table", None, {})
+    config["task"]["sizes"][0][0] = 9
+    assert cli.resolve_config("spacing-table", None, {})["task"]["sizes"][0] == [2, 2]
+
+
 #: (flag, text, block, key, parsed value) for the flags every subcommand takes
 COMMON_FLAGS = [
     ("--format", "json", "output", "format", "json"),
@@ -424,6 +455,9 @@ def test_exit_codes(tmp_path, monkeypatch):
         ["dynamics", "--nx", "1", "--ny", "2", "--periods", "2", "--init", "tilt:nan"],
         ["corner-spectral", "--nx", "2", "--ny", "1", "--chi", "2", "--window", "nan",
          "--values", "0.8"],
+        # more samples than states, and overlapping 0 and pi/T windows, with no scan values
+        ["corner-spectral", "--nx", "1", "--ny", "2", "--chi", "5", "--values="],
+        ["corner-spectral", "--nx", "2", "--ny", "2", "--window", "1.0", "--values="],
     ):
         assert cli.main([*argv, "--out", str(out)]) == 2
     bad.write_text('{"lattice": {"n_x": 1, "n_y": 2}, "task": {"periods": 2, "axis": NaN}}')
@@ -448,7 +482,8 @@ def test_exit_codes(tmp_path, monkeypatch):
         """Surrogate handler that reports a tolerance failure."""
         raise NumericalToleranceError("synthetic drift")
 
-    monkeypatch.setitem(cli._COMMANDS, "spectrum", explode)
+    row = cli._COMMANDS["spectrum"]._replace(run=explode)
+    monkeypatch.setitem(cli._COMMANDS, "spectrum", row)
     assert cli.main(["spectrum", "--out", str(out), "--nx", "1", "--ny", "2"]) == 4
 
 

@@ -1,5 +1,5 @@
 """Smoke test: every narrative script in demos/, and the README's Quick
-start block, runs to completion."""
+start block, runs to completion; the README lists exactly those scripts."""
 
 import os
 import subprocess
@@ -32,3 +32,13 @@ def test_readme_quick_start_runs(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_demo_list_matches_scripts():
+    """The bullets under README "## Demos" name every script, and the
+    count written above them is the number of scripts."""
+    section = (ROOT / "README.md").read_text().split("## Demos", 1)[1].split("\n## ", 1)[0]
+    listed = [line.split("`")[1] for line in section.splitlines() if line.startswith("- `")]
+    assert sorted(listed) == [path.name for path in DEMOS]
+    words = ["one", "two", "three", "four", "five", "six", "seven", "eight", "nine"]
+    assert f" {words[len(DEMOS) - 1]} narrative scripts" in section

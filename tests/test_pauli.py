@@ -71,23 +71,6 @@ def test_product_matches_dense(pair):
     np.testing.assert_allclose(product.to_matrix(), expected, atol=0)
 
 
-@given(pairs())
-@settings(max_examples=60, deadline=None)
-def test_commutes_with_matches_dense(pair):
-    left, right = pair
-    a, b = dense_oracle(left), dense_oracle(right)
-    dense_commutes = np.array_equal(a @ b, b @ a)
-    assert left.commutes_with(right) == dense_commutes
-
-
-@given(strings())
-@settings(max_examples=60, deadline=None)
-def test_adjoint_and_hermiticity(p):
-    np.testing.assert_allclose(p.adjoint().to_matrix(), dense_oracle(p).conj().T, atol=0)
-    dense_hermitian = np.array_equal(dense_oracle(p), dense_oracle(p).conj().T)
-    assert p.is_hermitian == dense_hermitian
-
-
 @given(strings(), st.integers(0, 1000))
 @settings(max_examples=40, deadline=None)
 def test_apply_matches_matvec(p, seed):
@@ -122,16 +105,13 @@ def test_single_site_factories():
         p = PauliString.single(n, 1, kind)
         expected = functools.reduce(np.kron, [I2, mat, I2])
         np.testing.assert_allclose(p.to_matrix(), expected, atol=0)
-        assert p.weight == 1
-        assert p.is_hermitian
 
 
 def test_identity_and_squares():
     ident = PauliString(4, x_mask=0, z_mask=0)
-    assert ident.weight == 0
     y = PauliString.single(4, 2, "y")
-    sq = y * y
-    assert sq.x_mask == 0 and sq.z_mask == 0 and sq.phase == 1
+    assert ident * y == y == y * ident
+    assert y * y == ident
 
 
 def test_mismatched_sizes_rejected():

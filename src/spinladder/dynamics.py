@@ -171,13 +171,12 @@ def evolve_stroboscopic(
     """Evolve a state for ``periods`` drive periods, measuring each step.
 
     The input state is never written.  The evolution runs in the kick's
-    real frame: it holds u = i**N conj(Q) v with Q = diag(i**popcount(b))
+    real frame: it holds u = conj(Q) v with Q = diag(i**popcount(b))
     instead of the state v, so a period is the zz multiply followed by
     the real kick kernel, both in place, with none of the phase passes of
     rotate_x_all_sites.  The diagonals commute with Q, and multiplying
     by +-1 or +-i is exact, so u is the public per-period state up to an
-    exact phase per amplitude and |u|**2 = |v|**2 bit for bit.  The
-    kernel applies a global i**-N each period, which changes nothing.
+    exact phase per amplitude and |u|**2 = |v|**2 bit for bit.
 
     All buffers are allocated once per evolution: u, the kernel's
     scratch, a copy of u for a tilted measurement and the float weights.
@@ -197,7 +196,7 @@ def evolve_stroboscopic(
     theta = op.params.theta_h
     # sin(theta) == 0 only at theta == 0, where the kick is the identity
     kick = math.sin(theta) != 0.0
-    u = v * _quarter_turns(n)[::-1]
+    u = v * _quarter_turns(n).conj()
     spare = np.empty_like(u)
     copy = np.empty_like(u) if axis != 0.0 else None
     weights = np.empty(u.shape)
@@ -258,10 +257,12 @@ class PowerSpectrum:
 
     @property
     def dominance_ratio(self) -> float:
-        """Subharmonic magnitude over the largest other nonzero-frequency bin."""
+        """Subharmonic magnitude over the largest other nonzero-frequency
+        bin; inf when every such bin is 0 or, on a two-sample trace, when
+        there is none."""
         half = self.n_samples // 2
         others = np.delete(self.magnitudes, [0, half])
-        top = float(np.max(others))
+        top = float(np.max(others, initial=0.0))
         if top == 0.0:
             return math.inf
         return self.subharmonic_amplitude / top

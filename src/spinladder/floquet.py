@@ -18,9 +18,9 @@ O(2**N * 2**KICK_BLOCK_SITES) per period.  Every gemm stays below
 KICK_GEMM_MACS multiply-adds, so the kick runs on the calling thread.
 The phases commute with U_zz, so a caller that propagates many periods
 (dynamics.evolve_stroboscopic) stays in the real frame and calls the
-kernel alone, on buffers it owns.
-The structure also gives any single element U[r, c] as zz_phase[c]
-times a product of N single-site kick factors (entries()).
+kernel alone, on buffers it owns.  apply() also takes a stack of
+states, and that is how the spectrum reads U: the symmetry blocks are
+projected from U applied to the orbit representatives.
 
 Quasienergies are eps = -arg(lambda) / T folded into (-pi/T, pi/T].
 The spectrum is computed sector by sector: the global spin flip and the
@@ -108,27 +108,27 @@ class DriveParams:
 
 
 @functools.lru_cache(maxsize=32)
-def _kick_block(angle: float, width: int, turns: int | None = None) -> np.ndarray:
-    """The 2**width x 2**width kron power of exp(i * angle * Y), real.
+def _kick_blocks(angle: float, n_sites: int) -> tuple[np.ndarray, ...]:
+    """The real blocks of the kick kernel, one per group of
+    KICK_BLOCK_SITES sites, lowest group first.
 
-    exp(i * angle * Y) = [[c, s], [-s, c]].  With ``turns`` set, the
-    block acts on the float64 view of the amplitudes, where a complex
-    factor i is J = [[0, -1], [1, 0]] on each (re, im) pair: it is then
-    kron(R^w, J**turns), 2**(width + 1) wide, and also multiplies the
-    state by i**turns.  Cached: the kick angle is fixed per operator and
-    the measurement angle per evolution, and a block costs more to
-    build than a kick.
+    A group of w sites takes R^w, the 2**w x 2**w kron power of
+    exp(i * angle * Y) = [[c, s], [-s, c]].  The lowest group acts on
+    the float64 view of the amplitudes, whose (re, im) pairs double the
+    axis, so its block is kron(R^w, I2).  Cached: the kick angle is
+    fixed per operator and the measurement angle per evolution, and the
+    blocks cost more to build than a kick.
     """
     c = math.cos(angle)
     s = math.sin(angle)
-    block = np.ones((1, 1))
-    for _ in range(width):
-        block = np.kron(block, np.array([[c, s], [-s, c]]))
-    if turns is not None:
-        times_i = np.array([[0.0, -1.0], [1.0, 0.0]])
-        block = np.kron(block, np.linalg.matrix_power(times_i, turns))
-    block.setflags(write=False)
-    return block
+    powers = [np.ones((1, 1))]
+    for _ in range(min(KICK_BLOCK_SITES, n_sites)):
+        powers.append(np.kron(powers[-1], np.array([[c, s], [-s, c]])))
+    widths = [min(KICK_BLOCK_SITES, n_sites - k) for k in range(0, n_sites, KICK_BLOCK_SITES)]
+    blocks = (np.kron(powers[widths[0]], np.eye(2)), *(powers[w] for w in widths[1:]))
+    for block in blocks:
+        block.setflags(write=False)
+    return blocks
 
 
 @functools.lru_cache(maxsize=8)
@@ -143,37 +143,33 @@ def _quarter_turns(n_sites: int) -> np.ndarray:
 def _kick_in_frame(
     state: np.ndarray, scratch: np.ndarray, n_sites: int, angle: float
 ) -> np.ndarray:
-    """Apply i**-N times the real kron power of exp(i * angle * Y) to the
-    complex, contiguous ``state``, alternating with ``scratch``.
+    """Apply the real kron power of exp(i * angle * Y) to the complex,
+    contiguous ``state`` (one vector or a stack of vectors along the
+    last axis), alternating with ``scratch``.
 
     Both buffers are overwritten; the return value is whichever of the
     two holds the result.  Sites are taken in groups of KICK_BLOCK_SITES
     (the last group may be narrower).  Group [k, k + w) multiplies the
-    axis of bits k..k+w-1 by the cached real block, writing into the
+    axis of bits k..k+w-1 by its cached real block, writing into the
     other buffer, so the kick costs O(2**N * 2**KICK_BLOCK_SITES) time
-    and allocates nothing.  The lowest group interleaves real and
-    imaginary parts, so its block is kron(R^w, J**turns), 2**(w + 1)
-    wide, multiplying stacks of rows; it also applies the global i**-N.
-    Upper groups multiply stacks of columns.  Every gemm is cut to at
-    most KICK_GEMM_MACS multiply-adds, which OpenBLAS runs on the
-    calling thread, and each output is one inner product of length 2**w
-    or 2**(w + 1), so the result does not depend on the BLAS thread
-    count.
+    per vector and allocates nothing.  The lowest group interleaves real
+    and imaginary parts and multiplies stacks of rows; upper groups
+    multiply stacks of columns.  Every gemm is cut, by the vector length
+    alone, to at most KICK_GEMM_MACS multiply-adds, which OpenBLAS runs
+    on the calling thread, so each output is one inner product of length
+    2**w or 2**(w + 1) whatever the thread count or the stack size.
     """
     src, dst = state, scratch
-    for k in range(0, n_sites, KICK_BLOCK_SITES):
-        width = min(KICK_BLOCK_SITES, n_sites - k)
+    for k, block in zip(range(0, n_sites, KICK_BLOCK_SITES), _kick_blocks(angle, n_sites)):
         x, y = src.view(np.float64), dst.view(np.float64)
+        size = block.shape[0]
         if k == 0:
-            block = _kick_block(angle, width, -n_sites % 4)
-            size = block.shape[0]
-            shape = (-1, min(KICK_GEMM_MACS // size**2, x.size // size), size)
+            shape = (-1, min(KICK_GEMM_MACS // size**2, x.shape[-1] // size), size)
             np.matmul(x.reshape(shape), block.T, out=y.reshape(shape))
         else:
-            block = _kick_block(angle, width)
             cols = 2 << k
-            chunk = min(cols, KICK_GEMM_MACS >> 2 * width)
-            shape = (-1, 1 << width, cols // chunk, chunk)
+            chunk = min(cols, KICK_GEMM_MACS // size**2)
+            shape = (-1, size, cols // chunk, chunk)
             np.matmul(
                 block,
                 x.reshape(shape).swapaxes(1, 2),
@@ -186,22 +182,19 @@ def _kick_in_frame(
 def rotate_x_all_sites(state: np.ndarray, n_sites: int, angle: float) -> np.ndarray:
     """Apply prod_k exp(-i * angle * X_k) in place and return the array.
 
-    The caller must own ``state`` (complex, contiguous); it is overwritten.
-    With S = diag(1, i), exp(-i angle X) = S exp(i angle Y) S^dagger, and
+    The caller must own ``state`` (complex, contiguous, one vector or a
+    stack of vectors along the first axis); it is overwritten.  With
+    S = diag(1, i), exp(-i angle X) = S exp(i angle Y) S^dagger, and
     exp(i angle Y) is real.  So the state is multiplied by the phase
     conj(i**popcount(b)) of prod_k S_k^dagger (exact: every factor is +-1
     or +-i), the real kick kernel runs on a fresh scratch buffer, and the
-    phase i**popcount(b) is multiplied back.  Only i**popcount(b) is
-    cached: since popcount(~b) = N - popcount(b), its conjugate is the
-    same array read backwards times i**-N, and the kernel's lowest block
-    takes that global factor off.
+    phase i**popcount(b) is multiplied back.
     """
     if math.sin(angle) == 0.0:
         # only angle 0 gets here: sin of a nonzero float is never 0.0
         return state
     quarter = _quarter_turns(n_sites)
-    # i**N * conj(i**popcount(b)); the kernel takes off the i**N
-    state *= quarter[::-1]
+    state *= quarter.conj()
     out = _kick_in_frame(state, np.empty_like(state), n_sites, angle)
     return np.multiply(out, quarter, out=state)
 
@@ -212,8 +205,8 @@ class FloquetOperator:
 
     ``zz_phase`` is the diagonal of the interaction half; ``dense`` is
     the kron-built matrix, kept as an independent oracle for tests, or
-    None.  Nothing in the package reads it: single elements come from
-    entries() and states are propagated by apply().
+    None.  Nothing in the package reads it: apply() is the one way the
+    package evaluates U, on a state or on a stack of states.
     """
 
     lattice: Lattice
@@ -221,32 +214,15 @@ class FloquetOperator:
     zz_phase: np.ndarray
     dense: np.ndarray | None = None
 
-    def entries(self, rows, cols) -> np.ndarray:
-        """U[rows, cols] for broadcastable integer index arrays.
-
-        U[r, c] = prod_k site[bit_k(r), bit_k(c)] * zz_phase[c], with the
-        single-site kick factors multiplied from site N-1 down to site 0,
-        the order of the kron product in build_floquet, so every element
-        equals the dense matrix's bit for bit.
-        """
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        c = math.cos(self.params.theta_h)
-        s = math.sin(self.params.theta_h)
-        site = np.array([[c, -1j * s], [-1j * s, c]])
-        out = np.ones(np.broadcast_shapes(rows.shape, cols.shape), dtype=complex)
-        for k in reversed(range(self.lattice.n_sites)):
-            out *= site[(rows >> k) & 1, (cols >> k) & 1]
-        out *= self.zz_phase[cols]
-        return out
-
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """One stroboscopic period on a state vector, matrix-free."""
+        """One stroboscopic period, matrix-free, on a state of shape (D,)
+        or on each row of an (m, D) stack; row j of the result equals
+        apply(state[j]) bit for bit, so the rows of apply(np.eye(D)) are
+        the columns of U."""
         state = np.asarray(state, dtype=complex)
-        if state.shape != (self.lattice.dim,):
-            raise ValueError(
-                f"state must have shape ({self.lattice.dim},), got {state.shape}"
-            )
+        dim = self.lattice.dim
+        if state.ndim not in (1, 2) or state.shape[-1] != dim:
+            raise ValueError(f"state must have shape ({dim},) or (m, {dim}), got {state.shape}")
         out = self.zz_phase * state
         return rotate_x_all_sites(out, self.lattice.n_sites, self.params.theta_h)
 
@@ -256,10 +232,11 @@ def build_floquet(
 ) -> FloquetOperator:
     """Assemble the one-period propagator.
 
-    Only the diagonal interaction phase is precomputed; apply() and
-    entries() work from it and the kick angle.  ``materialize_dense``
-    also builds the full 2**N x 2**N matrix as a kron product (refused
-    above DENSE_SITE_CAP sites), an oracle independent of entries().
+    Only the diagonal interaction phase is precomputed; apply() works
+    from it and the kick angle.  ``materialize_dense`` also builds the
+    full 2**N x 2**N matrix as a kron product of single-site kicks
+    (refused above DENSE_SITE_CAP sites), an oracle independent of the
+    blocked kick kernel.
     """
     dim = lattice.dim
     idx = np.arange(dim)
@@ -458,6 +435,7 @@ class QuasienergySpectrum:
             ]
         return out
 
+    @_blas.one_thread()
     def overlaps(self, states) -> np.ndarray:
         """<v_m|x> for every rank m and every column x of ``states``.
 
@@ -468,11 +446,13 @@ class QuasienergySpectrum:
 
             <r, k|x> = sum_g chi_k(g) x[g r] / sqrt(|G| S_r),
 
-        are character sums, one DFT over the cyclic factors of the group
-        (np.fft, which needs no BLAS); conj(Q_k)^T of each sector then
-        turns them into eigenbasis coefficients.  The sector bases are
+        are character sums: the character table times x gathered at the
+        images of the representatives, the same sum that diagonalize
+        projects its blocks with.  conj(Q_k)^T of each sector then turns
+        them into eigenbasis coefficients.  The sector bases are
         orthonormal and jointly complete, so for a unitary V this is
-        V^H x.
+        V^H x.  The products run on one BLAS thread, so the overlaps do
+        not depend on the thread count.
         """
         x = np.asarray(states)
         if x.ndim not in (1, 2) or x.shape[0] != self.dim:
@@ -482,12 +462,9 @@ class QuasienergySpectrum:
         block = x.reshape(self.dim, -1)
         group = self.group
         table = group.orbit_table
-        # gathered[g, a, c] = x[g(r_a), c], with g spread over the cyclic factors
+        # gathered[g, a, c] = x[g(r_a), c]; sums[k, a, c] = sum_g chi_k(g) gathered[g, a, c]
         gathered = block[group.images[:, table.reps]]
-        axes = tuple(range(len(group.orders)))
-        sums = np.fft.ifftn(
-            gathered.reshape(group.orders + gathered.shape[1:]), axes=axes, norm="forward"
-        ).reshape(gathered.shape)
+        sums = np.tensordot(group.characters(), gathered, axes=1)
         out = np.empty(block.shape, dtype=complex)
         for sector in self.sectors:
             norm = np.sqrt(group.order * table.stab_sums[sector.label, sector.keep])
@@ -518,14 +495,16 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
         |r, k> = sum_g conj(chi_k(g)) |g r> / sqrt(|G| S_r),
 
     with stabilizer sum S_r = sum over g fixing r of chi_k(g), exists
-    when S_r != 0.  The block
+    when S_r != 0.  g commutes with U, so the block is
 
         U_k[a, b] = <r_a, k| U |r_b, k>
-                  = sum_g conj(chi_k(g)) U[r_a, g r_b] / sqrt(S_a S_b)
+                  = sum_g chi_k(g) U[g r_a, r_b] / sqrt(S_a S_b).
 
-    is gathered element by element through ``op.entries`` (the dense
-    matrix is neither needed nor read), at N |G| n**2 cost for n orbit
-    representatives, and factorized on its own.
+    One apply() on the stack of unit vectors at the n orbit
+    representatives gives U|r_b> for every b (the dense matrix is
+    neither needed nor read).  Its amplitudes at the images g r_a,
+    weighted by the characters, give every factorized block in one
+    product, and each block is factorized on its own.
 
     Time reversal halves the factorizations.  U = K Z with the kick K
     and the diagonal zz phase Z both symmetric, so U^T = K^-1 U K: if
@@ -563,23 +542,27 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
 
     check_site_cap(op.lattice.n_sites, DENSE_SITE_CAP, "diagonalize")
     group = symmetry_group(op.lattice)
-    images = group.images
     chars = group.characters()
     partner = group.conjugate_sectors()
     factored = np.flatnonzero(np.arange(group.order) <= partner)
 
     reps, stab_sums = group.orbit_table.reps, group.orbit_table.stab_sums
-    # gathered[g, a, b] = U[r_a, g(r_b)]
-    gathered = op.entries(reps[np.newaxis, :, np.newaxis], images[:, reps][:, np.newaxis, :])
-    blocks = np.einsum("kg,gab->kab", chars[factored].conj(), gathered)
+    basis = np.zeros((reps.size, op.lattice.dim), dtype=complex)
+    basis[np.arange(reps.size), reps] = 1.0
+    # columns[b, x] = U[x, r_b]
+    columns = op.apply(basis)
+    del basis
+    # blocks[b, i, a] = sum_g chi_k(g) U[g r_a, r_b] for sector k = factored[i]
+    blocks = chars[factored] @ columns[:, group.images[:, reps]]
+    del columns
 
     parts = {}  # sector label: (keep, Schur vectors, eigenvalues, residuals)
-    for k, block in zip(factored, blocks):
+    for i, k in enumerate(factored):
         keep = stab_sums[k] > 0
         if not keep.any():
             continue
         norm = np.sqrt(stab_sums[k, keep])
-        block = block[np.ix_(keep, keep)] / np.outer(norm, norm)
+        block = blocks[:, i].T[np.ix_(keep, keep)] / np.outer(norm, norm)
         t_mat, q_mat = scipy.linalg.schur(block, output="complex")
         lam = np.diag(t_mat).copy()
         modulus_dev = np.abs(np.abs(lam) - 1.0)

@@ -345,6 +345,13 @@ def test_power_spectrum_rejects_short_or_odd_traces():
         power_spectrum(fake_trace(1))
     with pytest.raises(ValueError):
         power_spectrum(fake_trace(7))
+    # the shortest accepted trace has only the 0 and pi/T bins
+    alternating = MagnetizationTrace(
+        times=np.arange(3), values=np.array([0.0, 1.0, -1.0]), axis=0.0, period=2.0
+    )
+    spectrum = power_spectrum(alternating)
+    assert spectrum.subharmonic_amplitude == 1.0
+    assert spectrum.dominance_ratio == math.inf
 
 
 @given(

@@ -1,6 +1,7 @@
 """Propagator construction and diagnostics against small dense oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from spinladder.floquet import (
     spacing_stats,
     symmetry_group,
 )
-from spinladder.floquet import _kick_block, _quarter_turns
+from spinladder.floquet import KICK_BLOCK_SITES, _kick_blocks, _quarter_turns
 from spinladder.lattice import SizeCapError, make_lattice
 from spinladder.majorana import corner_modes, mode_residual
 
@@ -65,14 +66,14 @@ def test_rotate_x_single_site_matrix():
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
 def test_real_block_conjugates_to_complex_kick(width):
     """S R^w S^dagger, S = prod_k diag(1, i), is the kron power of
-    exp(-i theta X); the lowest block's float64 form multiplies by R^w
-    and then by i**turns."""
+    exp(-i theta X); the lowest block's float64 form multiplies by R^w."""
     theta = 0.81
     c, s = math.cos(theta), math.sin(theta)
     complex_block = np.ones((1, 1), dtype=complex)
     for _ in range(width):
         complex_block = np.kron(complex_block, [[c, -1j * s], [-1j * s, c]])
-    real = _kick_block(theta, width)
+    # an upper group of ``width`` sites takes R^w itself
+    real = _kick_blocks(theta, KICK_BLOCK_SITES + width)[1]
     assert real.dtype == np.float64
     phase = _quarter_turns(width)
     conjugated = phase[:, np.newaxis] * real * phase.conj()[np.newaxis, :]
@@ -80,11 +81,10 @@ def test_real_block_conjugates_to_complex_kick(width):
 
     rng = np.random.default_rng(width)
     v = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
-    for turns in range(4):
-        interleaved = _kick_block(theta, width, turns)
-        assert interleaved.shape == (2 << width, 2 << width)
-        got = (interleaved @ v.view(np.float64)).view(complex)
-        np.testing.assert_allclose(got, 1j**turns * (real @ v), rtol=0, atol=1e-15)
+    (interleaved,) = _kick_blocks(theta, width)
+    assert interleaved.shape == (2 << width, 2 << width)
+    got = (interleaved @ v.view(np.float64)).view(complex)
+    np.testing.assert_allclose(got, real @ v, rtol=0, atol=1e-15)
 
 
 def test_rotate_x_matches_expm():
@@ -115,6 +115,22 @@ def test_two_site_propagator_matches_expm():
     np.testing.assert_allclose(np.asarray(op.dense), u_kick @ u_zz, atol=1e-13)
 
 
+def kron_rows(op, rows):
+    """Rows of the kron-built U.  Row r of a kron product is the kron
+    product of the factors' rows, so each row is built from the
+    single-site kick rows for the bits of r, site N-1 first, in the
+    factor order of build_floquet(materialize_dense=True)."""
+    c, s = math.cos(op.params.theta_h), math.sin(op.params.theta_h)
+    site = np.array([[c, -1j * s], [-1j * s, c]])
+    out = np.empty((len(rows), op.lattice.dim), dtype=complex)
+    for i, r in enumerate(rows):
+        row = np.ones(1, dtype=complex)
+        for k in reversed(range(op.lattice.n_sites)):
+            row = np.kron(row, site[(r >> k) & 1])
+        out[i] = row * op.zz_phase
+    return out
+
+
 def test_matrix_free_matches_dense():
     """op.apply against the kron-built U, on a periodic ladder and on
     chains of one to thirteen sites: one to four kron blocks, with and
@@ -122,11 +138,11 @@ def test_matrix_free_matches_dense():
     and multiples of pi (h = 0 takes the early return).  From 12 sites
     the lowest group is a stack of gemms over rows (two at 12, eight at
     14); at 15 and 16 sites the upper group also splits its columns into
-    four and sixteen gemms.  Past
-    ten sites U (1 GiB at 13) is read only on sampled rows, through
-    entries(), which equals the kron-built matrix bit for bit.  apply()
-    must also equal the zz multiply followed by rotate_x_all_sites
-    exactly, the split that the benchmark's traced period rebuilds."""
+    four and sixteen gemms.  Past ten sites U (1 GiB at 13) is read only
+    on sampled rows, from kron_rows, which equal the rows of the
+    kron-built matrix bit for bit where it exists.  apply() must also
+    equal the zz multiply followed by rotate_x_all_sites exactly, the
+    split that the benchmark's traced period rebuilds."""
     rng = np.random.default_rng(11)
     cases = [(make_lattice(2, 3, bc_y="periodic"), 1.1)]
     cases += [
@@ -138,12 +154,11 @@ def test_matrix_free_matches_dense():
     for lat, h in cases:
         params = DriveParams(j_x=0.4, j_y=0.7, h=h, period=2.0)
         op = build_floquet(lat, params, materialize_dense=lat.n_sites <= 10)
-        rows = np.arange(lat.dim)
-        if op.dense is None:
-            rows = np.sort(rng.choice(lat.dim, size=32, replace=False))
-            u_rows = op.entries(rows[:, np.newaxis], np.arange(lat.dim))
-        else:
-            u_rows = np.asarray(op.dense)
+        rows = np.sort(rng.choice(lat.dim, size=min(lat.dim, 32), replace=False))
+        u_rows = kron_rows(op, rows)
+        if op.dense is not None:
+            assert np.array_equal(u_rows, op.dense[rows])
+            rows, u_rows = np.arange(lat.dim), np.asarray(op.dense)
         for _ in range(20):
             v = rng.normal(size=lat.dim) + 1j * rng.normal(size=lat.dim)
             v /= np.linalg.norm(v)
@@ -151,6 +166,36 @@ def test_matrix_free_matches_dense():
             np.testing.assert_allclose(got[rows], u_rows @ v, atol=1e-13)
             split = rotate_x_all_sites(op.zz_phase * v, lat.n_sites, params.theta_h)
             assert np.array_equal(got, split)
+
+
+@pytest.mark.parametrize(
+    "n_sites,h", [(3, 0.83), (6, 0.83), (10, 0.83), (10, 0.0), (11, 0.83), (12, 0.83), (13, 0.83)]
+)
+def test_stacked_apply_rows_match_single_applies(n_sites, h):
+    """Every row of an (m, D) stack comes out of apply() bit for bit as
+    it does alone: below D = 2048 the lowest group's gemm covers a whole
+    vector, above it the vector is cut into several gemms, and an odd m
+    must cut neither across vectors.  At h = 0 only the zz multiply
+    runs."""
+    lat = make_lattice(1, n_sites)
+    op = build_floquet(lat, DriveParams(j_x=0.4, j_y=0.7, h=h, period=2.0))
+    rng = np.random.default_rng(n_sites)
+    for m in (1, 3, 7):
+        stack = rng.normal(size=(m, lat.dim)) + 1j * rng.normal(size=(m, lat.dim))
+        before = stack.copy()
+        got = op.apply(stack)
+        assert got.shape == stack.shape
+        assert np.array_equal(stack, before)
+        for row, state in zip(got, stack):
+            assert np.array_equal(row, op.apply(state))
+
+
+def test_apply_rejects_misshaped_states():
+    lat = make_lattice(1, 4)
+    op = build_floquet(lat, DriveParams(j_x=0.4, j_y=0.7, h=0.83, period=2.0))
+    for shape in [(lat.dim, 1), (2, 3, lat.dim), (3, lat.dim + 1), (lat.dim - 1,)]:
+        with pytest.raises(ValueError):
+            op.apply(np.zeros(shape, dtype=complex))
 
 
 def test_dense_cap_enforced():
@@ -164,23 +209,6 @@ def test_dense_cap_enforced():
         diagonalize(op)
     with pytest.raises(SizeCapError):
         mode_residual(op, corner_modes(lat)[0], "pi")
-
-
-@pytest.mark.parametrize("bc", ["open", "periodic"])
-@pytest.mark.parametrize("n_x,n_y", [(1, 3), (2, 2), (3, 2), (1, 7)])
-@pytest.mark.parametrize("h", [0.0, 0.45, 1.3, math.pi / 2, 2.9])
-def test_entries_match_dense_bitwise(n_x, n_y, bc, h):
-    lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc)
-    params = DriveParams(j_x=0.35, j_y=0.8, h=h, period=2.0)
-    op = build_floquet(lat, params, materialize_dense=True)
-    rng = np.random.default_rng(n_x * 100 + n_y)
-    rows = rng.integers(lat.dim, size=(5, 1, 3))
-    cols = rng.integers(lat.dim, size=(4, 1))
-    got = op.entries(rows, cols)
-    assert got.shape == (5, 4, 3)
-    assert np.array_equal(got, op.dense[rows, cols])
-    idx = np.arange(lat.dim)
-    assert np.array_equal(op.entries(idx[:, np.newaxis], idx), op.dense)
 
 
 def test_diagonalize_eigenrelation():
@@ -235,6 +263,24 @@ def test_sector_spectrum_matches_dense_schur(n_x, n_y, bc, dedup):
     vecs = spec.eigenvectors
     assert np.linalg.norm(u @ vecs - vecs * spec.eigenvalues) <= 1e-10
     assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(lat.dim)) <= 1e-10
+
+
+@pytest.mark.parametrize("n_x,n_y", [(5, 2), (1, 10)])
+def test_diagonalize_holds_no_dense_matrix(n_x, n_y):
+    """On a torus the blocks come from U applied to about D/|G| orbit
+    representatives, so diagonalize never holds a D x D array: its
+    traced peak stays below a quarter of one complex D x D matrix."""
+    lat = make_lattice(n_x, n_y, bc_x="periodic", bc_y="periodic", dedup_coincident_bonds=False)
+    op = build_floquet(lat, DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0))
+    # the first call imports scipy and fills the kick caches
+    diagonalize(op)
+    tracemalloc.start()
+    try:
+        diagonalize(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * 16 * lat.dim**2
 
 
 def _sector_basis(group, label):

@@ -211,6 +211,42 @@ def test_dense_cap_enforced():
         mode_residual(op, corner_modes(lat)[0], "pi")
 
 
+@pytest.mark.parametrize("bc", ["open", "periodic"])
+@pytest.mark.parametrize("n_x,n_y", [(1, 3), (2, 2), (3, 2), (1, 7)])
+@pytest.mark.parametrize("h", [0.0, 0.45, 1.3, math.pi / 2, 2.9])
+def test_entries_match_dense_bitwise(n_x, n_y, bc, h):
+    """Matrix elements U[rows, cols] read the way diagonalize reads them:
+    one stacked apply on the basis rows of cols gives the columns U|c>,
+    and the elements are gathered from those at broadcast indices.  Each
+    row of the stack equals its single apply bit for bit, the kron_rows
+    oracle equals the dense matrix bit for bit at the sampled rows, and
+    the gathered elements, like apply(eye).T of mode_residual, agree with
+    both to 1e-13 (the blocked kick rounds differently from the kron
+    product past KICK_BLOCK_SITES sites)."""
+    lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc)
+    params = DriveParams(j_x=0.35, j_y=0.8, h=h, period=2.0)
+    op = build_floquet(lat, params, materialize_dense=True)
+    rng = np.random.default_rng(n_x * 100 + n_y)
+    rows = rng.integers(lat.dim, size=(5, 1, 3))
+    cols = rng.integers(lat.dim, size=(4, 1))
+    basis = np.zeros((cols.size, lat.dim), dtype=complex)
+    basis[np.arange(cols.size), cols[:, 0]] = 1.0
+    columns = op.apply(basis)
+    for column, state in zip(columns, basis):
+        assert np.array_equal(column, op.apply(state))
+    got = columns.T[rows, np.arange(cols.size)[:, np.newaxis]]
+    assert got.shape == (5, 4, 3)
+    want = op.dense[rows, cols]
+    assert np.array_equal(kron_rows(op, rows.ravel()), op.dense[rows.ravel()])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    u = op.apply(np.eye(lat.dim, dtype=complex)).T
+    np.testing.assert_allclose(u, op.dense, rtol=0, atol=1e-13)
+    if h == 0.0:
+        # no kick: U is the zz diagonal, exact on both paths
+        assert np.array_equal(got, want)
+        assert np.array_equal(u, op.dense)
+
+
 def test_diagonalize_eigenrelation():
     lat = make_lattice(3, 2)
     params = DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0)

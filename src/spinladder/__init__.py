@@ -44,7 +44,6 @@ from .lattice import (
 )
 from .majorana import (
     DictionaryReport,
-    MajoranaMode,
     SpectralFunctionConfig,
     SpectralFunctions,
     corner_modes,
@@ -76,7 +75,6 @@ __all__ = [
     "FloquetOperator",
     "Lattice",
     "MagnetizationTrace",
-    "MajoranaMode",
     "MpmSolution",
     "NumericalToleranceError",
     "PauliString",

@@ -27,7 +27,9 @@ The spectrum is computed sector by sector: the global spin flip and the
 lattice translations commute with U and split it into small blocks
 before any dense factorization.  Both halves of U are symmetric
 matrices, so sector -k is the time-reversed copy of sector k and only
-one of the two is factorized.
+one of the two is factorized.  Each block goes through a complex Schur
+decomposition in the LAPACK that numpy bundles (_blas.schur), so no
+command imports scipy.
 """
 
 from __future__ import annotations
@@ -517,13 +519,14 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     (k, -k) pair are factorized; the partner gets copies of the
     eigenvalues and residuals.
 
-    Each factorized block goes through a complex Schur decomposition.  A
-    unitary block is normal, so its Schur form is diagonal to machine
-    precision and the Schur basis is orthonormal even inside degenerate
-    clusters (plain eigensolvers lose orthogonality there).  Per block,
-    the eigenvalue moduli must lie within RESIDUAL_TOL of 1, and the
-    column norms of the strict upper triangle, which equal the block
-    residuals ||U_k q - lambda q|| up to LAPACK backward error, within
+    Each factorized block goes through a complex Schur decomposition
+    (zgees of numpy's bundled LAPACK, _blas.schur).  A unitary block is
+    normal, so its Schur form is diagonal to machine precision and the
+    Schur basis is orthonormal even inside degenerate clusters (plain
+    eigensolvers lose orthogonality there).  Per block, the eigenvalue
+    moduli must lie within RESIDUAL_TOL of 1, and the column norms of
+    the strict upper triangle, which equal the block residuals
+    ||U_k q - lambda q|| up to LAPACK backward error, within
     RESIDUAL_TOL.  The embedding into the full basis is an isometry that
     intertwines U with its blocks, so a block residual is also the
     full-basis residual of the embedded vector.
@@ -532,14 +535,10 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     so ties keep sector order; a level and its copy in the partner
     sector tie exactly).  The result keeps the Schur vectors per
     sector; the dense D x D ``eigenvectors`` is embedded only when read,
-    and lattices above DENSE_SITE_CAP sites are refused.  The bundled
-    OpenBLAS builds run on one thread meanwhile, so the levels do not
-    depend on the thread count.
+    and lattices above DENSE_SITE_CAP sites are refused.  numpy's bundled
+    OpenBLAS runs on one thread meanwhile, so the levels do not depend on
+    the thread count.
     """
-    # imported here, not at the top: it takes about 0.3 s and 28 MB,
-    # which the dynamics commands would pay for nothing
-    import scipy.linalg
-
     check_site_cap(op.lattice.n_sites, DENSE_SITE_CAP, "diagonalize")
     group = symmetry_group(op.lattice)
     chars = group.characters()
@@ -563,7 +562,7 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
             continue
         norm = np.sqrt(stab_sums[k, keep])
         block = blocks[:, i].T[np.ix_(keep, keep)] / np.outer(norm, norm)
-        t_mat, q_mat = scipy.linalg.schur(block, output="complex")
+        t_mat, q_mat = _blas.schur(block)
         lam = np.diag(t_mat).copy()
         modulus_dev = np.abs(np.abs(lam) - 1.0)
         if modulus_dev.max() > RESIDUAL_TOL:

@@ -29,16 +29,7 @@ DICTIONARY_DENSE_CAP = 8
 DICTIONARY_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class MajoranaMode:
-    """A single Majorana operator: kind 'A' or 'B' at 1-based site (i, j)."""
-
-    kind: str
-    site: tuple[int, int]
-    string: PauliString
-
-
-def majorana(lattice: Lattice, kind: str, i: int, j: int) -> MajoranaMode:
+def majorana(lattice: Lattice, kind: str, i: int, j: int) -> PauliString:
     """Jordan-Wigner Majorana operator at site (i, j).
 
     The X string covers every site with flat index below idx(i, j); the
@@ -51,14 +42,12 @@ def majorana(lattice: Lattice, kind: str, i: int, j: int) -> MajoranaMode:
     prefix = (1 << idx) - 1
     bit = 1 << idx
     if kind == "A":
-        string = PauliString(n, x_mask=prefix, z_mask=bit)
-    else:
-        # Y terminal: i * X Z at the site
-        string = PauliString(n, x_mask=prefix | bit, z_mask=bit, phase=1j)
-    return MajoranaMode(kind=kind, site=(i, j), string=string)
+        return PauliString(n, x_mask=prefix, z_mask=bit)
+    # Y terminal: i * X Z at the site
+    return PauliString(n, x_mask=prefix | bit, z_mask=bit, phase=1j)
 
 
-def corner_modes(lattice: Lattice) -> tuple[MajoranaMode, MajoranaMode]:
+def corner_modes(lattice: Lattice) -> tuple[PauliString, PauliString]:
     """The two corner operators: A at (1, 1) and B at (n_x, n_y)."""
     return (
         majorana(lattice, "A", 1, 1),
@@ -80,11 +69,11 @@ def gamma_pbc(lattice: Lattice) -> PauliString:
     n = lattice.n_y
     if n < 2:
         raise ValueError("chain must have at least two sites")
-    out = majorana(lattice, "B", 1, 1).string
+    out = majorana(lattice, "B", 1, 1)
     for j in range(2, n):
-        out = out * majorana(lattice, "A", 1, j).string
-        out = out * majorana(lattice, "B", 1, j).string
-    return out * majorana(lattice, "A", 1, n).string
+        out = out * majorana(lattice, "A", 1, j)
+        out = out * majorana(lattice, "B", 1, j)
+    return out * majorana(lattice, "A", 1, n)
 
 
 @dataclass(frozen=True)
@@ -136,8 +125,8 @@ def verify_dictionary(lattice: Lattice) -> DictionaryReport:
             failures.append(f"{name}: string mismatch, dense deviation {dev:.3e}")
 
     def ij_pair(kind1, s1, kind2, s2, scale=1j):
-        g1 = majorana(lattice, kind1, *s1).string
-        g2 = majorana(lattice, kind2, *s2).string
+        g1 = majorana(lattice, kind1, *s1)
+        g2 = majorana(lattice, kind2, *s2)
         prod = g1 * g2
         return PauliString(n, prod.x_mask, prod.z_mask, scale * prod.phase)
 
@@ -171,7 +160,7 @@ def verify_dictionary(lattice: Lattice) -> DictionaryReport:
 
 
 def mode_residual(
-    op: FloquetOperator, mode: MajoranaMode | PauliString | np.ndarray, target: str
+    op: FloquetOperator, mode: PauliString | np.ndarray, target: str
 ) -> float:
     """Max-norm residual of a candidate quasienergy excitation.
 
@@ -185,8 +174,6 @@ def mode_residual(
     if target not in ("zero", "pi"):
         raise ValueError(f"target must be 'zero' or 'pi', got {target!r}")
     check_site_cap(op.lattice.n_sites, DENSE_SITE_CAP, "mode_residual")
-    if isinstance(mode, MajoranaMode):
-        mode = mode.string
     if isinstance(mode, PauliString):
         g = mode.to_matrix()
     else:
@@ -275,8 +262,8 @@ def corner_spectral_functions(
     (spectrum.vectors); each corner string acts on that D x chi block
     in one call, and spectrum.overlaps projects the images onto every
     sector basis, which gives <v_m|gamma v_n> for all m.  No D x D
-    matrix is built, and the bundled OpenBLAS builds run on one thread,
-    so the weights do not depend on the thread count.
+    matrix is built, and numpy's bundled OpenBLAS runs on one thread, so
+    the weights do not depend on the thread count.
     """
     dim = spectrum.dim
     config.check(dim, spectrum.period)
@@ -293,7 +280,7 @@ def corner_spectral_functions(
     out = []
     for mode in corner_modes(lattice):
         # (chi, dim): row n, column m
-        masses = np.abs(spectrum.overlaps(mode.string.apply(vecs)).T) ** 2
+        masses = np.abs(spectrum.overlaps(mode.apply(vecs)).T) ** 2
         total = masses.sum()
         s0 = masses[in_zero].sum() / total
         spi = masses[in_pi].sum() / total

@@ -176,11 +176,11 @@ def mpm_ansatz_operator(lattice: Lattice, solution: MpmSolution) -> np.ndarray:
         raise ValueError(
             f"solution holds {solution.a_coeffs.size} pairs, need {n - 1}"
         )
-    total = majorana(lattice, "A", 1, 1).string.to_matrix()
+    total = majorana(lattice, "A", 1, 1).to_matrix()
     for jj in range(1, n):
         flip = -1.0 if jj % 2 else 1.0
-        total += flip * solution.a_coeffs[jj - 1] * majorana(lattice, "A", 1, jj + 1).string.to_matrix()
-        total -= flip * solution.b_coeffs[jj - 1] * majorana(lattice, "B", 1, jj).string.to_matrix()
+        total += flip * solution.a_coeffs[jj - 1] * majorana(lattice, "A", 1, jj + 1).to_matrix()
+        total -= flip * solution.b_coeffs[jj - 1] * majorana(lattice, "B", 1, jj).to_matrix()
     used = slice(0, n - 1)
     scale = math.sqrt(
         1.0

@@ -237,8 +237,8 @@ def test_criterion_07_algebra_suite():
     modes = []
     for i in range(1, 4):
         for j in range(1, 3):
-            modes.append(majorana(lattice, "A", i, j).string.to_matrix())
-            modes.append(majorana(lattice, "B", i, j).string.to_matrix())
+            modes.append(majorana(lattice, "A", i, j).to_matrix())
+            modes.append(majorana(lattice, "B", i, j).to_matrix())
     eye = np.eye(64)
     worst = 0.0
     for p, gp in enumerate(modes):

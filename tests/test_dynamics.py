@@ -278,6 +278,18 @@ print((time.process_time() - cpu0) / (time.perf_counter() - wall0))
 """
 
 
+FIRST_SPECTRUM_SCRIPT = QUIET_PRELUDE + """
+from spinladder.floquet import DriveParams, build_floquet, diagonalize
+from spinladder.lattice import make_lattice
+
+lat = make_lattice(4, 2, bc_x="periodic", bc_y="periodic", dedup_coincident_bonds=False)
+diagonalize(build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.8, 2.0)))
+cpu0, own0 = time.process_time(), time.thread_time()
+time.sleep(0.05)
+print((time.process_time() - cpu0) - (time.thread_time() - own0))
+"""
+
+
 def run_at_two_blas_threads(script):
     """Run ``script`` in a fresh interpreter at two OpenBLAS threads and
     return the numbers it prints."""
@@ -315,6 +327,17 @@ def test_corner_scan_stays_on_one_core():
     h values) never wakes the second OpenBLAS thread."""
     (ratio,) = run_at_two_blas_threads(CORNER_SCAN_SCRIPT)
     assert_one_core(ratio)
+
+
+def test_first_spectrum_wakes_no_idle_blas_pool():
+    """The first diagonalize loads no OpenBLAS build that it does not
+    call: a freshly loaded build starts its thread pool, whose workers
+    spin for about 0.1 s, so during a 50 ms sleep right after the call
+    the other threads of the process would use about 50 ms of CPU time.
+    The sleeping thread's own time is left out, so time the host charges
+    to it while it wakes does not count."""
+    (cpu,) = run_at_two_blas_threads(FIRST_SPECTRUM_SCRIPT)
+    assert cpu < 0.005, f"other threads used {1e3 * cpu:.1f} ms of CPU time in a 50 ms sleep"
 
 
 def test_ideal_kick_alternates_exactly():

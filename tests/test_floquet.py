@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from spinladder import _blas
 from spinladder.floquet import (
     DriveParams,
     NumericalToleranceError,
@@ -308,7 +309,7 @@ def test_diagonalize_holds_no_dense_matrix(n_x, n_y):
     traced peak stays below a quarter of one complex D x D matrix."""
     lat = make_lattice(n_x, n_y, bc_x="periodic", bc_y="periodic", dedup_coincident_bonds=False)
     op = build_floquet(lat, DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0))
-    # the first call imports scipy and fills the kick caches
+    # the first call binds LAPACK and fills the kick caches
     diagonalize(op)
     tracemalloc.start()
     try:
@@ -317,6 +318,70 @@ def test_diagonalize_holds_no_dense_matrix(n_x, n_y):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * 16 * lat.dim**2
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64, 200])
+def test_blas_schur_matches_scipy_bitwise(n):
+    """numpy's bundled zgees gives scipy.linalg.schur's T and Z bit for
+    bit, in the same (Fortran) order, on general complex matrices."""
+    rng = np.random.default_rng(n)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    with _blas.one_thread(), _blas.one_thread("scipy"):
+        got = _blas.schur(a)
+        expected = scipy.linalg.schur(a, output="complex")
+    for mine, theirs in zip(got, expected):
+        assert mine.flags.f_contiguous
+        assert np.array_equal(mine, theirs)
+
+
+def test_blas_schur_matches_scipy_on_repeated_eigenvalues():
+    """A unitary with exactly repeated eigenvalues, the case of the
+    degenerate clusters of a Floquet spectrum."""
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+    lam = np.exp(1j * np.array([0.0, 0.0, 0.0, np.pi, np.pi, 0.3, 0.3, 0.3, 0.3, -1.1, 2.0, 2.0]))
+    u = (q * lam) @ q.conj().T
+    with _blas.one_thread(), _blas.one_thread("scipy"):
+        t_mat, z_mat = _blas.schur(u)
+        expected = scipy.linalg.schur(u, output="complex")
+    assert np.array_equal(t_mat, expected[0])
+    assert np.array_equal(z_mat, expected[1])
+    np.testing.assert_allclose(np.sort_complex(np.diag(t_mat)), np.sort_complex(lam), atol=1e-12)
+
+
+def test_blas_schur_errors():
+    with pytest.raises(ValueError):
+        _blas.schur(np.ones((2, 3)))
+    with pytest.raises(np.linalg.LinAlgError):
+        _blas.schur(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("n_x,n_y,bc", [(4, 2, "periodic"), (1, 8, "open")])
+def test_scipy_fallback_matches_bundled_lapack(monkeypatch, n_x, n_y, bc):
+    """Where numpy's build has no zgees, diagonalize runs scipy's Schur
+    and returns the same arrays."""
+    lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc, dedup_coincident_bonds=False)
+    op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.8, 2.0))
+    bundled = diagonalize(op)
+
+    original = scipy.linalg.schur
+    calls = []
+
+    def counted_schur(a, output):
+        calls.append(a.shape)
+        return original(a, output=output)
+
+    monkeypatch.setattr(_blas, "_lapacke_zgees", lambda: None)
+    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+    fallback = diagonalize(op)
+    partner = bundled.group.conjugate_sectors()
+    assert len(calls) == sum(s.label <= partner[s.label] for s in bundled.sectors)
+    for field in ("quasienergies", "eigenvalues", "residuals"):
+        assert np.array_equal(getattr(fallback, field), getattr(bundled, field))
+    for mine, theirs in zip(fallback.sectors, bundled.sectors):
+        assert mine.label == theirs.label
+        assert np.array_equal(mine.schur, theirs.schur)
+        assert np.array_equal(mine.columns, theirs.columns)
 
 
 def _sector_basis(group, label):

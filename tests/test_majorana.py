@@ -49,9 +49,9 @@ def test_string_structure_small_chain():
     ga1 = majorana(lat, "A", 1, 1)
     gb1 = majorana(lat, "B", 1, 1)
     ga2 = majorana(lat, "A", 1, 2)
-    np.testing.assert_allclose(ga1.string.to_matrix(), kron_chain([Z, I2]), atol=0)
-    np.testing.assert_allclose(gb1.string.to_matrix(), kron_chain([Y, I2]), atol=0)
-    np.testing.assert_allclose(ga2.string.to_matrix(), kron_chain([X, Z]), atol=0)
+    np.testing.assert_allclose(ga1.to_matrix(), kron_chain([Z, I2]), atol=0)
+    np.testing.assert_allclose(gb1.to_matrix(), kron_chain([Y, I2]), atol=0)
+    np.testing.assert_allclose(ga2.to_matrix(), kron_chain([X, Z]), atol=0)
 
 
 def test_modes_square_to_identity_and_are_hermitian():
@@ -59,7 +59,7 @@ def test_modes_square_to_identity_and_are_hermitian():
     identity = PauliString(lat.n_sites)
     for mode in all_modes(lat):
         # a Pauli string is unitary, so squaring to +1 makes it Hermitian
-        assert mode.string * mode.string == identity
+        assert mode * mode == identity
 
 
 def test_pairwise_anticommutation_exact():
@@ -67,8 +67,7 @@ def test_pairwise_anticommutation_exact():
     modes = all_modes(lat)
     for i, left in enumerate(modes):
         for right in modes[i + 1:]:
-            l, r = left.string, right.string
-            assert l * r == dataclasses.replace(r * l, phase=-(r * l).phase)
+            assert left * right == dataclasses.replace(right * left, phase=-(right * left).phase)
 
 
 def test_dictionary_exact_on_small_lattices():
@@ -126,7 +125,7 @@ def test_gamma_pbc_algebra():
         sign = (-1) ** (n - 1)
         assert gp * gp == PauliString(n, phase=sign)
         # commutes with both end modes even though it overlaps them
-        for end in (majorana(lat, "A", 1, 1).string, majorana(lat, "B", 1, n).string):
+        for end in (majorana(lat, "A", 1, 1), majorana(lat, "B", 1, n)):
             assert gp * end == end * gp
         # the wrap bond operator Z_N Z_1 is i^(n-1) times gamma_pbc
         zz = PauliString.single(n, n - 1, "z") * PauliString.single(n, 0, "z")
@@ -163,7 +162,7 @@ def brute_force_spectral(spec, lattice, chi, window):
     for mode in corner_modes(lattice):
         g_eig = (
             spec.eigenvectors.conj().T
-            @ mode.string.to_matrix()
+            @ mode.to_matrix()
             @ spec.eigenvectors
         )
         total = 0.0

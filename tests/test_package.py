@@ -14,9 +14,20 @@ def test_all_names_unique_and_resolvable():
 
 
 def test_cli_import_leaves_scipy_out():
-    """scipy is imported by diagonalize alone, so the dynamics commands
-    start without it."""
-    check = "import sys, spinladder.cli; print('scipy' in sys.modules)"
+    """The CLI, diagonalize and the corner spectral functions run on
+    numpy's bundled LAPACK, so no command imports scipy."""
+    check = """
+import sys
+import spinladder.cli
+from spinladder.floquet import DriveParams, build_floquet, diagonalize
+from spinladder.lattice import make_lattice
+from spinladder.majorana import SpectralFunctionConfig, corner_spectral_functions
+
+lat = make_lattice(4, 2, bc_x="periodic", bc_y="periodic", dedup_coincident_bonds=False)
+spectrum = diagonalize(build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.8, 2.0)))
+corner_spectral_functions(spectrum, lat, SpectralFunctionConfig(chi=16, window=0.01))
+print('scipy' in sys.modules)
+"""
     result = subprocess.run(
         [sys.executable, "-c", check], capture_output=True, text=True, check=True, timeout=60
     )

@@ -381,7 +381,7 @@ def cmd_spacing_table(config: dict) -> _Table:
             lattice = resolve_lattice(config, n_x=n_x, n_y=n_y)
             op = build_floquet(lattice, params)
             stats = spacing_stats(diagonalize(op))
-        except (SizeCapError, NumericalToleranceError, ValueError) as exc:
+        except (NumericalToleranceError, ValueError) as exc:
             notes.append(f"{label} failed: {exc}")
             print(f"spacing-table: {notes[-1]}", file=sys.stderr)
             continue
@@ -557,7 +557,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalToleranceError as exc:
         print(f"spinladder {command}: numerical tolerance: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"spinladder {command}: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -25,19 +25,22 @@ projected from U applied to the orbit representatives.
 Quasienergies are eps = -arg(lambda) / T folded into (-pi/T, pi/T].
 The spectrum is computed sector by sector: the global spin flip and the
 lattice translations commute with U and split it into small blocks
-before any dense factorization.  Both halves of U are symmetric
-matrices, so sector -k is the time-reversed copy of sector k and only
-one of the two is factorized.  Each block goes through a complex Schur
-decomposition in the LAPACK that numpy bundles (_blas.schur), so no
-command imports scipy.
+before any dense factorization; the group's character table, sector
+partners and orbits are derived once, when its SymmetryGroup is built.
+Both halves of U are symmetric matrices, so sector -k is the
+time-reversed copy of sector k and only one of the two is factorized.
+Each block goes through a complex Schur decomposition in the LAPACK
+that numpy bundles (_blas.schur), so no command imports scipy.
+diagonalize and QuasienergySpectrum.overlaps run numpy's OpenBLAS on
+one thread (_blas.one_thread), so the levels and the overlaps do not
+depend on the thread count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -273,68 +276,59 @@ def fold_quasienergy(eps, period: float):
 
 @dataclass(frozen=True)
 class SymmetryGroup:
-    """Abelian symmetry group of the propagator, acting on basis indices.
+    """Abelian symmetry group of the propagator, acting on basis indices,
+    with its character table and orbits derived once at construction.
 
     The group is a product of cyclic factors of the given ``orders``:
     the global spin flip P = prod_k X_k (order 2) first, then each
     accepted lattice translation.  Element e, numbered in C order over
     the exponent tuple (e_1, e_2, ...), maps basis index b to
-    ``images[e, b]``; its character in sector k is
-    exp(2 pi i sum_j k_j e_j / orders_j), with sectors numbered like
-    the elements.
+    ``images[e, b]``.  The derived tables, all read-only:
+
+    - ``characters[k, e]`` = exp(2 pi i sum_j k_j e_j / orders_j), with
+      sectors numbered like the elements;
+    - ``partners[k]``, the number of sector -k, whose characters are the
+      complex conjugates of sector k's;
+    - ``reps``, the smallest image of every orbit, ascending;
+      ``orbit[b]``, the orbit number of basis index b; ``carrier[b]``,
+      an element that maps the orbit's representative onto b;
+    - ``stab_sums[k, a]``, the sum of the characters of sector k over the
+      stabilizer of reps[a]: the stabilizer size when the character is
+      trivial on it and 0 otherwise; row 0, the trivial sector, holds
+      the stabilizer sizes.
     """
 
     orders: tuple[int, ...]
     images: np.ndarray
+    characters: np.ndarray = field(init=False, repr=False, compare=False)
+    partners: np.ndarray = field(init=False, repr=False, compare=False)
+    reps: np.ndarray = field(init=False, repr=False, compare=False)
+    orbit: np.ndarray = field(init=False, repr=False, compare=False)
+    carrier: np.ndarray = field(init=False, repr=False, compare=False)
+    stab_sums: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # sectors and elements share one numbering of the exponent tuples
+        exps = np.indices(self.orders).reshape(len(self.orders), -1)
+        turns = sum(np.outer(e, e) % n / n for e, n in zip(exps, self.orders))
+        characters = np.exp(2j * np.pi * turns)
+        flipped = tuple(-e % n for e, n in zip(exps, self.orders))
+        partners = np.ravel_multi_index(flipped, self.orders)
+        reps, orbit = np.unique(self.images.min(axis=0), return_inverse=True)
+        carrier = np.argmax(self.images[:, reps[orbit]] == np.arange(orbit.size), axis=0)
+        fixed = self.images[:, reps] == reps
+        stab_sums = np.rint((characters @ fixed).real)
+        tables = dict(
+            characters=characters, partners=partners, reps=reps,
+            orbit=orbit, carrier=carrier, stab_sums=stab_sums,
+        )
+        for name, arr in tables.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def order(self) -> int:
         return self.images.shape[0]
-
-    def characters(self) -> np.ndarray:
-        """(sector, element) table of the group characters."""
-        # sectors and elements share one numbering of the exponent tuples
-        exps = np.indices(self.orders).reshape(len(self.orders), -1)
-        turns = sum(np.outer(e, e) % n / n for e, n in zip(exps, self.orders))
-        return np.exp(2j * np.pi * turns)
-
-    def conjugate_sectors(self) -> np.ndarray:
-        """Number of sector -k for every sector k: its characters are the
-        complex conjugates of sector k's."""
-        exps = np.indices(self.orders).reshape(len(self.orders), -1)
-        flipped = tuple(-e % n for e, n in zip(exps, self.orders))
-        return np.ravel_multi_index(flipped, self.orders)
-
-    @functools.cached_property
-    def orbit_table(self) -> OrbitTable:
-        """The orbits of the basis under the group, built on first access."""
-        reps, orbit = np.unique(self.images.min(axis=0), return_inverse=True)
-        dim = orbit.size
-        carrier = np.argmax(self.images[:, reps[orbit]] == np.arange(dim), axis=0)
-        fixed = self.images[:, reps] == reps
-        stab_sums = np.rint((self.characters() @ fixed).real)
-        table = OrbitTable(reps, orbit, carrier, stab_sums)
-        for arr in table:
-            arr.setflags(write=False)
-        return table
-
-
-class OrbitTable(NamedTuple):
-    """Orbits of the basis indices under a SymmetryGroup.
-
-    ``reps`` holds the smallest image of every orbit, ascending;
-    ``orbit[b]`` is the orbit number of basis index b, and element
-    ``carrier[b]`` maps the orbit's representative onto b.
-    ``stab_sums[k, a]``, the sum of the characters of sector k over the
-    stabilizer of reps[a], is the stabilizer size when the character is
-    trivial on it and 0 otherwise; row 0, the trivial sector, holds the
-    stabilizer sizes.
-    """
-
-    reps: np.ndarray
-    orbit: np.ndarray
-    carrier: np.ndarray
-    stab_sums: np.ndarray
 
 
 def symmetry_group(lattice: Lattice) -> SymmetryGroup:
@@ -368,8 +362,8 @@ class Sector:
     """The levels of one symmetry sector of a QuasienergySpectrum.
 
     ``label`` numbers the sector like the rows of
-    SymmetryGroup.characters(); ``keep`` marks the orbit representatives
-    r (of SymmetryGroup.orbit_table) whose state |r, k> exists; column j of
+    SymmetryGroup.characters; ``keep`` marks the orbit representatives
+    r (SymmetryGroup.reps) whose state |r, k> exists; column j of
     ``schur`` is an orthonormal eigenvector in that basis, and
     ``columns[j]`` is its level's index in the sorted spectrum.
     """
@@ -389,10 +383,10 @@ class QuasienergySpectrum:
     ``residuals[n] = ||U v_n - lambda_n v_n||_2``.  The eigenvectors are
     held per symmetry sector of ``group``, in the small sector bases.
     vectors() embeds chosen ones in the full basis and overlaps(), its
-    adjoint, projects full-basis states onto all of them, both through
-    the group's orbit table and without a D x D matrix.  The dense
-    ``eigenvectors`` (eigenvector n is ``eigenvectors[:, n]``) is built
-    only when read; nothing in the package reads it.
+    adjoint, projects full-basis states onto all of them, both from the
+    group's character and orbit tables and without a D x D matrix.  The
+    dense ``eigenvectors`` (eigenvector n is ``eigenvectors[:, n]``) is
+    built only when read; nothing in the package reads it.
     """
 
     quasienergies: np.ndarray
@@ -413,15 +407,14 @@ class QuasienergySpectrum:
         State b = g r of orbit r has amplitude
         sum_{g' r = b} conj(chi(g')) / sqrt(|G| S_r) = conj(chi(g)) sqrt(|stab r| / |G|)
         in |r, k>, since chi is constant on the coset g * stab(r); the
-        orbit table holds g (``carrier``) and |stab r| (row 0 of
+        group holds g (``carrier``) and |stab r| (row 0 of
         ``stab_sums``).  Every entry is one product of that amplitude and
         a Schur vector entry, so a column does not depend on which other
         ranks are asked for.
         """
         ranks = np.asarray(ranks, dtype=np.intp).reshape(-1)
-        table = self.group.orbit_table
-        chars = self.group.characters()
-        weights = np.sqrt(table.stab_sums[0, table.orbit] / self.group.order)
+        group = self.group
+        weights = np.sqrt(group.stab_sums[0, group.orbit] / group.order)
         out = np.zeros((self.dim, ranks.size), dtype=complex)
         for sector in self.sectors:
             column = np.full(self.dim, -1)
@@ -429,9 +422,9 @@ class QuasienergySpectrum:
             picked = np.flatnonzero(column[ranks] >= 0)
             if not picked.size:
                 continue
-            rows = np.flatnonzero(sector.keep[table.orbit])
-            coef = chars[sector.label, table.carrier[rows]].conj() * weights[rows]
-            position = (np.cumsum(sector.keep) - 1)[table.orbit[rows]]
+            rows = np.flatnonzero(sector.keep[group.orbit])
+            coef = group.characters[sector.label, group.carrier[rows]].conj() * weights[rows]
+            position = (np.cumsum(sector.keep) - 1)[group.orbit[rows]]
             out[np.ix_(rows, picked)] = coef[:, np.newaxis] * sector.schur[
                 np.ix_(position, column[ranks[picked]])
             ]
@@ -463,13 +456,12 @@ class QuasienergySpectrum:
             )
         block = x.reshape(self.dim, -1)
         group = self.group
-        table = group.orbit_table
         # gathered[g, a, c] = x[g(r_a), c]; sums[k, a, c] = sum_g chi_k(g) gathered[g, a, c]
-        gathered = block[group.images[:, table.reps]]
-        sums = np.tensordot(group.characters(), gathered, axes=1)
+        gathered = block[group.images[:, group.reps]]
+        sums = np.tensordot(group.characters, gathered, axes=1)
         out = np.empty(block.shape, dtype=complex)
         for sector in self.sectors:
-            norm = np.sqrt(group.order * table.stab_sums[sector.label, sector.keep])
+            norm = np.sqrt(group.order * group.stab_sums[sector.label, sector.keep])
             components = sums[sector.label, sector.keep] / norm[:, np.newaxis]
             out[sector.columns] = sector.schur.conj().T @ components
         return out.reshape(x.shape)
@@ -541,18 +533,16 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     """
     check_site_cap(op.lattice.n_sites, DENSE_SITE_CAP, "diagonalize")
     group = symmetry_group(op.lattice)
-    chars = group.characters()
-    partner = group.conjugate_sectors()
-    factored = np.flatnonzero(np.arange(group.order) <= partner)
+    reps, stab_sums, partners = group.reps, group.stab_sums, group.partners
+    factored = np.flatnonzero(np.arange(group.order) <= partners)
 
-    reps, stab_sums = group.orbit_table.reps, group.orbit_table.stab_sums
     basis = np.zeros((reps.size, op.lattice.dim), dtype=complex)
     basis[np.arange(reps.size), reps] = 1.0
     # columns[b, x] = U[x, r_b]
     columns = op.apply(basis)
     del basis
     # blocks[b, i, a] = sum_g chi_k(g) U[g r_a, r_b] for sector k = factored[i]
-    blocks = chars[factored] @ columns[:, group.images[:, reps]]
+    blocks = group.characters[factored] @ columns[:, group.images[:, reps]]
     del columns
 
     parts = {}  # sector label: (keep, Schur vectors, eigenvalues, residuals)
@@ -577,9 +567,9 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
                 f"{RESIDUAL_TOL:.1e} in sector {k}"
             )
         parts[k] = (keep, q_mat, lam, residuals)
-        if partner[k] != k:
+        if partners[k] != k:
             zz = op.zz_phase[reps[keep]]
-            parts[partner[k]] = (keep, (zz[:, np.newaxis] * q_mat).conj(), lam, residuals)
+            parts[partners[k]] = (keep, (zz[:, np.newaxis] * q_mat).conj(), lam, residuals)
 
     labels = sorted(parts)
     period = op.params.period

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas
 from .floquet import FloquetOperator, QuasienergySpectrum, fold_quasienergy
 from .lattice import DENSE_SITE_CAP, Lattice, check_site_cap
 from .pauli import PauliString
@@ -230,7 +229,6 @@ class SpectralFunctions:
     spi_2: float
 
 
-@_blas.one_thread()
 def corner_spectral_functions(
     spectrum: QuasienergySpectrum,
     lattice: Lattice,
@@ -262,8 +260,9 @@ def corner_spectral_functions(
     (spectrum.vectors); each corner string acts on that D x chi block
     in one call, and spectrum.overlaps projects the images onto every
     sector basis, which gives <v_m|gamma v_n> for all m.  No D x D
-    matrix is built, and numpy's bundled OpenBLAS runs on one thread, so
-    the weights do not depend on the thread count.
+    matrix is built.  The overlaps are the only BLAS products here, and
+    they run on one thread, so the weights do not depend on the thread
+    count.
     """
     dim = spectrum.dim
     config.check(dim, spectrum.period)

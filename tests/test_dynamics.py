@@ -282,11 +282,19 @@ FIRST_SPECTRUM_SCRIPT = QUIET_PRELUDE + """
 from spinladder.floquet import DriveParams, build_floquet, diagonalize
 from spinladder.lattice import make_lattice
 
+def openblas_builds():
+    with open("/proc/self/maps") as maps:
+        return {line.split()[-1] for line in maps if "openblas" in line}
+
 lat = make_lattice(4, 2, bc_x="periodic", bc_y="periodic", dedup_coincident_bonds=False)
-diagonalize(build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.8, 2.0)))
+op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.8, 2.0))
+wait_for_quiet()
+before = openblas_builds()
+diagonalize(op)
 cpu0, own0 = time.process_time(), time.thread_time()
 time.sleep(0.05)
-print((time.process_time() - cpu0) - (time.thread_time() - own0))
+cpu = (time.process_time() - cpu0) - (time.thread_time() - own0)
+print(cpu, len(openblas_builds() - before))
 """
 
 
@@ -331,12 +339,15 @@ def test_corner_scan_stays_on_one_core():
 
 def test_first_spectrum_wakes_no_idle_blas_pool():
     """The first diagonalize loads no OpenBLAS build that it does not
-    call: a freshly loaded build starts its thread pool, whose workers
-    spin for about 0.1 s, so during a 50 ms sleep right after the call
-    the other threads of the process would use about 50 ms of CPU time.
-    The sleeping thread's own time is left out, so time the host charges
-    to it while it wakes does not count."""
-    (cpu,) = run_at_two_blas_threads(FIRST_SPECTRUM_SCRIPT)
+    call: the call maps no new OpenBLAS file, and a freshly loaded build
+    would start its thread pool, whose workers spin for about 0.1 s, so
+    during a 50 ms sleep right after the call the other threads of the
+    process would use about 50 ms of CPU time.  The pool numpy starts on
+    import spins the same way, so the child waits for it to go quiet
+    before the call.  The sleeping thread's own time is left out, so
+    time the host charges to it while it wakes does not count."""
+    cpu, loaded = run_at_two_blas_threads(FIRST_SPECTRUM_SCRIPT)
+    assert loaded == 0, f"diagonalize mapped {loaded:.0f} new OpenBLAS files"
     assert cpu < 0.005, f"other threads used {1e3 * cpu:.1f} ms of CPU time in a 50 ms sleep"
 
 

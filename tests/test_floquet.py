@@ -374,8 +374,8 @@ def test_scipy_fallback_matches_bundled_lapack(monkeypatch, n_x, n_y, bc):
     monkeypatch.setattr(_blas, "_lapacke_zgees", lambda: None)
     monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
     fallback = diagonalize(op)
-    partner = bundled.group.conjugate_sectors()
-    assert len(calls) == sum(s.label <= partner[s.label] for s in bundled.sectors)
+    partners = bundled.group.partners
+    assert len(calls) == sum(s.label <= partners[s.label] for s in bundled.sectors)
     for field in ("quasienergies", "eigenvalues", "residuals"):
         assert np.array_equal(getattr(fallback, field), getattr(bundled, field))
     for mine, theirs in zip(fallback.sectors, bundled.sectors):
@@ -384,12 +384,38 @@ def test_scipy_fallback_matches_bundled_lapack(monkeypatch, n_x, n_y, bc):
         assert np.array_equal(mine.columns, theirs.columns)
 
 
+@pytest.mark.parametrize(
+    "n_x,n_y,bc,dedup",
+    [(4, 2, "periodic", False), (3, 2, "periodic", True), (1, 8, "periodic", True), (3, 2, "open", True)],
+)
+def test_symmetry_group_tables_match_brute_force(n_x, n_y, bc, dedup):
+    """The tables a SymmetryGroup derives at construction, against
+    per-index loops over the images; every table is read-only, since one
+    group serves every spectrum built from it."""
+    lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc, dedup_coincident_bonds=dedup)
+    group = symmetry_group(lat)
+    images = group.images
+    for b in range(lat.dim):
+        assert images[group.carrier[b], group.reps[group.orbit[b]]] == b
+    for a, rep in enumerate(group.reps):
+        members = {int(b) for b in images[:, rep]}
+        assert rep == min(members)
+        assert {int(b) for b in np.flatnonzero(group.orbit == a)} == members
+        assert group.stab_sums[0, a] == sum(images[e, rep] == rep for e in range(group.order))
+    chars = group.characters
+    np.testing.assert_allclose(chars[group.partners], chars.conj(), rtol=0, atol=1e-14)
+    for name in ("characters", "partners", "reps", "orbit", "carrier", "stab_sums"):
+        table = getattr(group, name)
+        with pytest.raises(ValueError):
+            table[0] = table[0]
+
+
 def _sector_basis(group, label):
     """Columns sum_g conj(chi(g)) |g r> / norm for every representative r
     whose state exists in sector ``label``, built from the group alone."""
-    reps = group.orbit_table.reps
+    reps = group.reps
     basis = np.zeros((group.images.shape[1], reps.size), dtype=complex)
-    weights = np.broadcast_to(group.characters()[label].conj()[:, np.newaxis], (group.order, reps.size))
+    weights = np.broadcast_to(group.characters[label].conj()[:, np.newaxis], (group.order, reps.size))
     np.add.at(basis, (group.images[:, reps], np.arange(reps.size)), weights)
     norms = np.linalg.norm(basis, axis=0)
     keep = norms > 1e-6
@@ -405,8 +431,8 @@ def test_copied_sectors_match_their_own_schur(n_x, n_y, h):
     params = DriveParams(j_x=0.35, j_y=0.8, h=h, period=2.0)
     op = build_floquet(lat, params, materialize_dense=True)
     spec = diagonalize(op)
-    partner = spec.group.conjugate_sectors()
-    copied = [s for s in spec.sectors if s.label > partner[s.label]]
+    partners = spec.group.partners
+    copied = [s for s in spec.sectors if s.label > partners[s.label]]
     assert copied
     for sector in copied:
         basis, keep = _sector_basis(spec.group, sector.label)
@@ -438,8 +464,8 @@ def test_vectors_and_overlaps_match_eigenvectors(n_x, n_y, bc):
     lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc, dedup_coincident_bonds=False)
     spec = diagonalize(build_floquet(lat, DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0)))
     rng = np.random.default_rng(5)
-    partner = spec.group.conjugate_sectors()
-    copied = [s.columns for s in spec.sectors if s.label > partner[s.label]]
+    partners = spec.group.partners
+    copied = [s.columns for s in spec.sectors if s.label > partners[s.label]]
     assert bool(copied) == (bc == "periodic")
     ranks = np.concatenate([rng.choice(spec.dim, 6, replace=False), *[c[:1] for c in copied]])
     block = spec.vectors(ranks)

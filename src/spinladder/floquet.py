@@ -29,11 +29,13 @@ before any dense factorization; the group's character table, sector
 partners and orbits are derived once, when its SymmetryGroup is built.
 Both halves of U are symmetric matrices, so sector -k is the
 time-reversed copy of sector k and only one of the two is factorized.
-Each block goes through a complex Schur decomposition in the LAPACK
-that numpy bundles (_blas.schur), so no command imports scipy.
-diagonalize and QuasienergySpectrum.overlaps run numpy's OpenBLAS on
-one thread (_blas.one_thread), so the levels and the overlaps do not
-depend on the thread count.
+Each block is diagonalized by two Hermitian eigensolves (numpy's eigh):
+one of the Hermitian part of the block turned by a fixed mirror angle,
+then one of the anti-Hermitian part within each cluster of levels that
+the first cannot tell apart.  No command imports scipy.  diagonalize and
+QuasienergySpectrum.overlaps run numpy's OpenBLAS on one thread
+(_blas.one_thread), so the levels and the overlaps do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -49,6 +51,15 @@ from .lattice import DENSE_SITE_CAP, Lattice, check_site_cap
 
 #: eigenpair quality demanded of diagonalize()
 RESIDUAL_TOL = 1e-10
+
+#: turn (rad) of each block before its Hermitian part is taken; off the
+#: multiples of pi/2, so levels at +-eps or pi/T -+ eps are not mirror pairs
+MIRROR_ANGLE = (math.sqrt(5) - 1) / 2
+
+#: Hermitian-part levels further apart than this are in different
+#: clusters: an admixture of about eps / CLUSTER_GAP across the gap, times
+#: a unit-circle distance of at most 2, keeps a residual at RESIDUAL_TOL/100
+CLUSTER_GAP = 200 * np.finfo(float).eps / RESIDUAL_TOL
 
 #: sites per kron block of the matrix-free kick (rotate_x_all_sites)
 KICK_BLOCK_SITES = 4
@@ -331,6 +342,7 @@ class SymmetryGroup:
         return self.images.shape[0]
 
 
+@functools.lru_cache(maxsize=8)
 def symmetry_group(lattice: Lattice) -> SymmetryGroup:
     """The spin flip and the lattice translations as basis permutations.
 
@@ -338,7 +350,9 @@ def symmetry_group(lattice: Lattice) -> SymmetryGroup:
     kick is uniform and every Z_a Z_b phase is flip invariant.  A site
     permutation sigma maps b to sum_k bit_k(b) << sigma(k); the lattice
     supplies only translations that preserve the bond set, so each one
-    commutes with both halves of the drive.
+    commutes with both halves of the drive.  Cached per lattice: a scan
+    diagonalizes many drives on one lattice, and the group's tables are
+    read-only.
     """
     dim = lattice.dim
     idx = np.arange(dim)
@@ -364,13 +378,13 @@ class Sector:
     ``label`` numbers the sector like the rows of
     SymmetryGroup.characters; ``keep`` marks the orbit representatives
     r (SymmetryGroup.reps) whose state |r, k> exists; column j of
-    ``schur`` is an orthonormal eigenvector in that basis, and
+    ``eigvecs`` is an orthonormal eigenvector in that basis, and
     ``columns[j]`` is its level's index in the sorted spectrum.
     """
 
     label: int
     keep: np.ndarray
-    schur: np.ndarray
+    eigvecs: np.ndarray
     columns: np.ndarray
 
 
@@ -409,7 +423,7 @@ class QuasienergySpectrum:
         in |r, k>, since chi is constant on the coset g * stab(r); the
         group holds g (``carrier``) and |stab r| (row 0 of
         ``stab_sums``).  Every entry is one product of that amplitude and
-        a Schur vector entry, so a column does not depend on which other
+        a sector eigenvector entry, so a column does not depend on which other
         ranks are asked for.
         """
         ranks = np.asarray(ranks, dtype=np.intp).reshape(-1)
@@ -425,7 +439,7 @@ class QuasienergySpectrum:
             rows = np.flatnonzero(sector.keep[group.orbit])
             coef = group.characters[sector.label, group.carrier[rows]].conj() * weights[rows]
             position = (np.cumsum(sector.keep) - 1)[group.orbit[rows]]
-            out[np.ix_(rows, picked)] = coef[:, np.newaxis] * sector.schur[
+            out[np.ix_(rows, picked)] = coef[:, np.newaxis] * sector.eigvecs[
                 np.ix_(position, column[ranks[picked]])
             ]
         return out
@@ -463,7 +477,7 @@ class QuasienergySpectrum:
         for sector in self.sectors:
             norm = np.sqrt(group.order * group.stab_sums[sector.label, sector.keep])
             components = sums[sector.label, sector.keep] / norm[:, np.newaxis]
-            out[sector.columns] = sector.schur.conj().T @ components
+            out[sector.columns] = sector.eigvecs.conj().T @ components
         return out.reshape(x.shape)
 
     @functools.cached_property
@@ -475,6 +489,46 @@ class QuasienergySpectrum:
         vectors = self.vectors(np.arange(self.dim))
         vectors.setflags(write=False)
         return vectors
+
+
+def _unitary_eig(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues, orthonormal eigenvectors (columns) and residuals of a
+    unitary matrix B, from two Hermitian eigensolves.
+
+    1. eigh of the Hermitian part of R = exp(-i MIRROR_ANGLE) B gives
+       cos(x), x = arg lambda - MIRROR_ANGLE, and an orthonormal basis Q.
+       B is normal, so Q diagonalizes it except among levels of equal or
+       nearly equal cos(x), such as the mirror pairs x and -x.
+    2. The sorted cos(x) split into clusters wherever adjacent values lie
+       more than CLUSTER_GAP apart; rounding mixes levels across such a
+       gap by about eps / CLUSTER_GAP, a residual of RESIDUAL_TOL / 100.
+    3. In each cluster of two or more levels, eigh of the Hermitian
+       (S - S^H) / 2i, S = exp(-i psi) Q_c^H R Q_c, with eigenvalues
+       sin(x - psi), rotates Q_c onto eigenvectors.  The cluster sits
+       near x = +-arccos(c) for its mean cosine c; psi = 0 tells the
+       mirror pairs apart, and where |c| < 1/2, near the turning points
+       of sin(x), psi = pi/4 keeps both arcs pi/12 away from them.
+    4. The eigenvalues are the Rayleigh quotients q^H B q, and the
+       residuals ||B q - lambda q|| come from B Q.
+    """
+    hermitian = (0.5 * np.exp(-1j * MIRROR_ANGLE)) * block
+    hermitian += hermitian.conj().T
+    cosines, vecs = np.linalg.eigh(hermitian)
+    del hermitian
+    image = block @ vecs
+    cuts = np.flatnonzero(np.diff(cosines) > CLUSTER_GAP) + 1
+    for lo, hi in zip([0, *cuts], [*cuts, cosines.size]):
+        if hi - lo < 2:
+            continue
+        psi = 0.25 * np.pi if abs(cosines[lo:hi].mean()) < 0.5 else 0.0
+        small = np.exp(-1j * (MIRROR_ANGLE + psi)) * (vecs[:, lo:hi].conj().T @ image[:, lo:hi])
+        _, rotation = np.linalg.eigh(0.5j * (small.conj().T - small))
+        vecs[:, lo:hi] = vecs[:, lo:hi] @ rotation
+        image[:, lo:hi] = image[:, lo:hi] @ rotation
+    lam = np.einsum("ij,ij->j", vecs.conj(), image)
+    image -= vecs * lam
+    residuals = np.linalg.norm(image, axis=0)
+    return lam, vecs, residuals
 
 
 @_blas.one_thread()
@@ -511,23 +565,20 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     (k, -k) pair are factorized; the partner gets copies of the
     eigenvalues and residuals.
 
-    Each factorized block goes through a complex Schur decomposition
-    (zgees of numpy's bundled LAPACK, _blas.schur).  A unitary block is
-    normal, so its Schur form is diagonal to machine precision and the
-    Schur basis is orthonormal even inside degenerate clusters (plain
-    eigensolvers lose orthogonality there).  Per block, the eigenvalue
-    moduli must lie within RESIDUAL_TOL of 1, and the column norms of
-    the strict upper triangle, which equal the block residuals
-    ||U_k q - lambda q|| up to LAPACK backward error, within
-    RESIDUAL_TOL.  The embedding into the full basis is an isometry that
+    Each factorized block is diagonalized by _unitary_eig: two Hermitian
+    eigensolves, which give an orthonormal basis even inside degenerate
+    clusters, with the levels read as Rayleigh quotients and the
+    residuals ||U_k q - lambda q|| computed explicitly.  Per block, the
+    eigenvalue moduli must lie within RESIDUAL_TOL of 1, and so must the
+    residuals.  The embedding into the full basis is an isometry that
     intertwines U with its blocks, so a block residual is also the
     full-basis residual of the embedded vector.
 
     Levels of all sectors are sorted together by quasienergy (stable,
     so ties keep sector order; a level and its copy in the partner
-    sector tie exactly).  The result keeps the Schur vectors per
-    sector; the dense D x D ``eigenvectors`` is embedded only when read,
-    and lattices above DENSE_SITE_CAP sites are refused.  numpy's bundled
+    sector tie exactly).  The result keeps the eigenvectors per sector;
+    the dense D x D ``eigenvectors`` is embedded only when read, and
+    lattices above DENSE_SITE_CAP sites are refused.  numpy's bundled
     OpenBLAS runs on one thread meanwhile, so the levels do not depend on
     the thread count.
     """
@@ -545,22 +596,20 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     blocks = group.characters[factored] @ columns[:, group.images[:, reps]]
     del columns
 
-    parts = {}  # sector label: (keep, Schur vectors, eigenvalues, residuals)
+    parts = {}  # sector label: (keep, eigenvectors, eigenvalues, residuals)
     for i, k in enumerate(factored):
         keep = stab_sums[k] > 0
         if not keep.any():
             continue
         norm = np.sqrt(stab_sums[k, keep])
         block = blocks[:, i].T[np.ix_(keep, keep)] / np.outer(norm, norm)
-        t_mat, q_mat = _blas.schur(block)
-        lam = np.diag(t_mat).copy()
+        lam, q_mat, residuals = _unitary_eig(block)
         modulus_dev = np.abs(np.abs(lam) - 1.0)
         if modulus_dev.max() > RESIDUAL_TOL:
             raise NumericalToleranceError(
                 f"eigenvalue modulus deviates from 1 by {modulus_dev.max():.3e} "
                 f"in sector {k}"
             )
-        residuals = np.linalg.norm(np.triu(t_mat, 1), axis=0)
         if residuals.max() > RESIDUAL_TOL:
             raise NumericalToleranceError(
                 f"worst eigenpair residual {residuals.max():.3e} exceeds "
@@ -581,11 +630,11 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     slot[order] = np.arange(order.size)
     ends = np.cumsum([parts[k][2].size for k in labels])
     sectors = tuple(
-        Sector(label=int(k), keep=parts[k][0], schur=parts[k][1], columns=columns)
+        Sector(label=int(k), keep=parts[k][0], eigvecs=parts[k][1], columns=columns)
         for k, columns in zip(labels, np.split(slot, ends[:-1]))
     )
     for sector in sectors:
-        for arr in (sector.keep, sector.schur, sector.columns):
+        for arr in (sector.keep, sector.eigvecs, sector.columns):
             arr.setflags(write=False)
 
     eps = np.ascontiguousarray(eps[order])

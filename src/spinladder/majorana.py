@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .floquet import FloquetOperator, QuasienergySpectrum, fold_quasienergy
+from .floquet import RESIDUAL_TOL, FloquetOperator, QuasienergySpectrum, fold_quasienergy
 from .lattice import DENSE_SITE_CAP, Lattice, check_site_cap
 from .pauli import PauliString
 
@@ -244,32 +244,39 @@ def corner_spectral_functions(
     zone equal 1, so with a unitary corner operator the normalizer is
     1/chi up to rounding noise.
 
-    The sampled states are taken by rank in the sorted spectrum.  A
-    level of momentum sector k and its copy in sector -k are exactly
-    equal and sort in sector order (see diagonalize), so which of the
-    two states holds a sampled rank is fixed by the sector numbering.
-    Within a cluster of degenerate levels (tied exactly, or to
-    rounding), though, the sampled state is one vector of that cluster,
-    and which one follows the rounding of the sector blocks; the weights
-    of such a rank follow it too.  A change of the blocks' rounding alone
-    moved the per-state pi/T mass of tied ranks by up to 0.25 on the 4x2
-    torus at h = 0.8 (pi/T units), and that of untied ranks by at most
-    1.4e-12 on the 4x2 and 6x2 tori and the open 5x2 ladder.
+    The sampled states are taken by rank in the sorted spectrum, and a
+    rank gets the mean mass over its cluster C of levels that the
+    eigenpair guard cannot tell apart (_level_clusters),
 
-    Only the chi sampled eigenvectors are embedded in the full basis
-    (spectrum.vectors); each corner string acts on that D x chi block
-    in one call, and spectrum.overlaps projects the images onto every
-    sector basis, which gives <v_m|gamma v_n> for all m.  No D x D
-    matrix is built.  The overlaps are the only BLAS products here, and
-    they run on one thread, so the weights do not depend on the thread
-    count.
+        mass_n(m) = sum_{c in C} |<v_m|gamma v_c>|^2 / |C|,
+
+    with the windows taken from the sampled level eps_n.  Summed over a
+    window W this is tr(P_W gamma P_C gamma^dagger) / |C|, the same for
+    every orthonormal basis of C and of the clusters in W, so the
+    weights do not depend on which vectors of a degenerate cluster the
+    eigensolver returned.
+
+    Only the members of the sampled ranks' clusters are embedded in the
+    full basis (spectrum.vectors); each corner string acts on that
+    D x c block in one call, and spectrum.overlaps projects the images
+    onto every sector basis, which gives <v_m|gamma v_c> for all m.  No
+    D x D matrix is built.  The overlaps are the only BLAS products
+    here, and they run on one thread, so the weights do not depend on
+    the thread count.
     """
     dim = spectrum.dim
     config.check(dim, spectrum.period)
     w = np.pi / spectrum.period
     sampled = (np.arange(config.chi) * dim) // config.chi
     eps = spectrum.quasienergies
-    vecs = spectrum.vectors(sampled)
+    cluster = _level_clusters(eps, spectrum.period)
+    # the sampled ranks' clusters, and their members grouped by cluster
+    picked, row = np.unique(cluster[sampled], return_inverse=True)
+    members = np.flatnonzero(np.isin(cluster, picked))
+    members = members[np.argsort(cluster[members], kind="stable")]
+    starts = np.searchsorted(cluster[members], picked)
+    sizes = np.diff(np.append(starts, members.size))[:, np.newaxis]
+    vecs = spectrum.vectors(members)
 
     # wrapped gap eps_n - eps_m for sampled n against every m
     gaps = fold_quasienergy(eps[sampled, None] - eps[None, :], spectrum.period)
@@ -278,8 +285,10 @@ def corner_spectral_functions(
 
     out = []
     for mode in corner_modes(lattice):
-        # (chi, dim): row n, column m
-        masses = np.abs(spectrum.overlaps(mode.apply(vecs)).T) ** 2
+        # (members, dim): row c, column m
+        member_masses = np.abs(spectrum.overlaps(mode.apply(vecs)).T) ** 2
+        # (chi, dim): row n, column m, each row the mean over its cluster
+        masses = (np.add.reduceat(member_masses, starts) / sizes)[row]
         total = masses.sum()
         s0 = masses[in_zero].sum() / total
         spi = masses[in_pi].sum() / total
@@ -290,3 +299,20 @@ def corner_spectral_functions(
         spi_1=float(out[0][1]),
         spi_2=float(out[1][1]),
     )
+
+
+def _level_clusters(quasienergies: np.ndarray, period: float) -> np.ndarray:
+    """Cluster number of every level of an ascending spectrum.
+
+    A cluster is a run of levels with adjacent gaps of at most
+    2 RESIDUAL_TOL / T: each level is within RESIDUAL_TOL / T of a true
+    one, so levels that close are not certified distinct.  The levels on
+    both sides of the zone edge +-pi/T are adjacent too, so a run
+    through the edge is one cluster, numbered 0.
+    """
+    tol = 2.0 * RESIDUAL_TOL / period
+    eps = np.asarray(quasienergies)
+    cluster = np.concatenate([[0], np.cumsum(np.diff(eps) > tol)])
+    if cluster[-1] > 0 and eps[0] + 2.0 * np.pi / period - eps[-1] <= tol:
+        cluster[cluster == cluster[-1]] = 0
+    return cluster

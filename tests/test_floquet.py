@@ -9,8 +9,9 @@ import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from spinladder import _blas
 from spinladder.floquet import (
+    MIRROR_ANGLE,
+    RESIDUAL_TOL,
     DriveParams,
     NumericalToleranceError,
     QuasienergySpectrum,
@@ -25,7 +26,7 @@ from spinladder.floquet import (
     spacing_stats,
     symmetry_group,
 )
-from spinladder.floquet import KICK_BLOCK_SITES, _kick_blocks, _quarter_turns
+from spinladder.floquet import KICK_BLOCK_SITES, _kick_blocks, _quarter_turns, _unitary_eig
 from spinladder.lattice import SizeCapError, make_lattice
 from spinladder.majorana import corner_modes, mode_residual
 
@@ -258,7 +259,7 @@ def test_diagonalize_eigenrelation():
     assert np.all(np.diff(spec.quasienergies) >= 0)
     assert np.all(spec.quasienergies > -w) and np.all(spec.quasienergies <= w)
     np.testing.assert_allclose(np.abs(spec.eigenvalues), 1.0, atol=1e-12)
-    # direct residual check, independent of the Schur bookkeeping
+    # direct residual check, independent of the residuals diagonalize reports
     direct = np.linalg.norm(
         u @ spec.eigenvectors - spec.eigenvectors * spec.eigenvalues, axis=0
     )
@@ -320,68 +321,68 @@ def test_diagonalize_holds_no_dense_matrix(n_x, n_y):
     assert peak < 0.25 * 16 * lat.dim**2
 
 
-@pytest.mark.parametrize("n", [1, 2, 17, 64, 200])
-def test_blas_schur_matches_scipy_bitwise(n):
-    """numpy's bundled zgees gives scipy.linalg.schur's T and Z bit for
-    bit, in the same (Fortran) order, on general complex matrices."""
-    rng = np.random.default_rng(n)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    with _blas.one_thread(), _blas.one_thread("scipy"):
-        got = _blas.schur(a)
-        expected = scipy.linalg.schur(a, output="complex")
-    for mine, theirs in zip(got, expected):
-        assert mine.flags.f_contiguous
-        assert np.array_equal(mine, theirs)
+def planted_unitary(alpha, seed=0):
+    """V diag(exp(i alpha)) V^H for a random unitary V."""
+    rng = np.random.default_rng(seed)
+    n = len(alpha)
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (v * np.exp(1j * np.asarray(alpha))) @ v.conj().T
 
 
-def test_blas_schur_matches_scipy_on_repeated_eigenvalues():
-    """A unitary with exactly repeated eigenvalues, the case of the
-    degenerate clusters of a Floquet spectrum."""
-    rng = np.random.default_rng(7)
-    q, _ = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
-    lam = np.exp(1j * np.array([0.0, 0.0, 0.0, np.pi, np.pi, 0.3, 0.3, 0.3, 0.3, -1.1, 2.0, 2.0]))
-    u = (q * lam) @ q.conj().T
-    with _blas.one_thread(), _blas.one_thread("scipy"):
-        t_mat, z_mat = _blas.schur(u)
-        expected = scipy.linalg.schur(u, output="complex")
-    assert np.array_equal(t_mat, expected[0])
-    assert np.array_equal(z_mat, expected[1])
-    np.testing.assert_allclose(np.sort_complex(np.diag(t_mat)), np.sort_complex(lam), atol=1e-12)
+PHI = MIRROR_ANGLE
 
 
-def test_blas_schur_errors():
-    with pytest.raises(ValueError):
-        _blas.schur(np.ones((2, 3)))
-    with pytest.raises(np.linalg.LinAlgError):
-        _blas.schur(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        # exact multiplicity-3 clusters, -1 among them
+        [0.1] * 3 + [1.2] * 3 + [np.pi] * 3 + [-2.0] * 3 + [0.7],
+        # mirror pairs about the mirror angle: equal Hermitian parts
+        [PHI + 0.4, PHI - 0.4, PHI + 1.3, PHI - 1.3, PHI + 2.9, PHI - 2.9, 0.2],
+        # within 1e-9 of phi and phi + pi, where cos(x) turns
+        [PHI, PHI + 1e-9, PHI - 7e-10, PHI + np.pi, PHI + np.pi + 1e-9, PHI + np.pi - 4e-10, 1.0],
+        # mirror pairs about phi +- pi/2, where sin(x) turns
+        [PHI + np.pi / 2 + 1e-5, PHI + np.pi / 2 - 1e-5, PHI - np.pi / 2 + 3e-5, PHI - np.pi / 2 - 3e-5, 0.3],
+        # at -1 and 1e-13 to either side, across the zone edge
+        [np.pi, np.pi + 1e-13, np.pi - 1e-13, np.pi, 0.5, -0.5],
+    ],
+    ids=["triples", "mirror-pairs", "near-turns-of-cos", "near-turns-of-sin", "minus-one"],
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_unitary_eig_on_planted_spectra(alpha, seed):
+    """The two Hermitian passes on unitaries with planted levels:
+    orthonormal vectors, residuals a hundred times below the guard, and
+    the planted levels, also in clusters and at the turning points."""
+    u = planted_unitary(alpha, seed)
+    lam, vecs, residuals = _unitary_eig(u)
+    n = len(alpha)
+    assert np.abs(vecs.conj().T @ vecs - np.eye(n)).max() <= 1e-13
+    assert residuals.max() <= RESIDUAL_TOL / 100
+    np.testing.assert_allclose(residuals, np.linalg.norm(u @ vecs - vecs * lam, axis=0), atol=1e-15)
+    # match on the circle, so levels at -1 compare across the zone edge
+    planted = np.exp(1j * np.asarray(alpha))
+    cost = np.abs(lam[:, np.newaxis] - planted)
+    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-12
 
 
-@pytest.mark.parametrize("n_x,n_y,bc", [(4, 2, "periodic"), (1, 8, "open")])
-def test_scipy_fallback_matches_bundled_lapack(monkeypatch, n_x, n_y, bc):
-    """Where numpy's build has no zgees, diagonalize runs scipy's Schur
-    and returns the same arrays."""
+@pytest.mark.parametrize(
+    "n_x,n_y,bc,h",
+    [
+        (5, 2, "open", 0.3),
+        (5, 2, "open", 0.8),
+        (1, 10, "open", 0.3),
+        (1, 10, "open", 0.8),
+        (6, 2, "periodic", 0.8),
+    ],
+)
+def test_residuals_keep_margin_to_guard(n_x, n_y, bc, h):
+    """The cluster gap keeps every residual well inside the guard on
+    the largest blocks: a gap set too small would show here before it
+    trips the guard."""
     lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc, dedup_coincident_bonds=False)
-    op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.8, 2.0))
-    bundled = diagonalize(op)
-
-    original = scipy.linalg.schur
-    calls = []
-
-    def counted_schur(a, output):
-        calls.append(a.shape)
-        return original(a, output=output)
-
-    monkeypatch.setattr(_blas, "_lapacke_zgees", lambda: None)
-    monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
-    fallback = diagonalize(op)
-    partners = bundled.group.partners
-    assert len(calls) == sum(s.label <= partners[s.label] for s in bundled.sectors)
-    for field in ("quasienergies", "eigenvalues", "residuals"):
-        assert np.array_equal(getattr(fallback, field), getattr(bundled, field))
-    for mine, theirs in zip(fallback.sectors, bundled.sectors):
-        assert mine.label == theirs.label
-        assert np.array_equal(mine.schur, theirs.schur)
-        assert np.array_equal(mine.columns, theirs.columns)
+    spec = diagonalize(build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, h, 2.0)))
+    assert spec.residuals.max() <= RESIDUAL_TOL / 10
 
 
 @pytest.mark.parametrize(
@@ -522,7 +523,7 @@ def _fake_spectrum(values, period):
             Sector(
                 label=0,
                 keep=np.ones(dim, dtype=bool),
-                schur=np.eye(dim, dtype=complex),
+                eigvecs=np.eye(dim, dtype=complex),
                 columns=np.arange(dim),
             ),
         ),

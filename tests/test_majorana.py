@@ -7,10 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from spinladder.floquet import DriveParams, build_floquet, diagonalize
+from spinladder.floquet import (
+    RESIDUAL_TOL,
+    DriveParams,
+    Sector,
+    SymmetryGroup,
+    build_floquet,
+    diagonalize,
+)
 from spinladder.lattice import make_lattice
 from spinladder.majorana import (
     SpectralFunctionConfig,
+    _level_clusters,
     corner_modes,
     corner_spectral_functions,
     gamma_pbc,
@@ -155,9 +163,28 @@ def test_spectral_functions_ideal_point():
 
 
 def brute_force_spectral(spec, lattice, chi, window):
-    """Full eigenbasis matrix of each corner operator, then windowed sums."""
+    """Full eigenbasis matrix of each corner operator, then windowed sums
+    of each sampled rank's mean mass over its cluster: the levels joined
+    to it by steps of at most 2 RESIDUAL_TOL / T, across the zone edge
+    too."""
     w = math.pi / spec.period
+    eps = spec.quasienergies
+    tol = 2 * RESIDUAL_TOL / spec.period
     sampled = [(k * spec.dim) // chi for k in range(chi)]
+    # neighbours on the circle: the first and last levels are adjacent
+    def step(a, b):
+        gap = abs(eps[a] - eps[b])
+        return min(gap, 2 * w - gap) <= tol
+
+    clusters = {}
+    for n in sampled:
+        members = {n}
+        for direction in (1, -1):
+            m = n
+            while len(members) < spec.dim and step(m, (m + direction) % spec.dim):
+                m = (m + direction) % spec.dim
+                members.add(m)
+        clusters[n] = sorted(members)
     out = []
     for mode in corner_modes(lattice):
         g_eig = (
@@ -170,8 +197,8 @@ def brute_force_spectral(spec, lattice, chi, window):
         near_pi = 0.0
         for n in sampled:
             for m in range(spec.dim):
-                mass = abs(g_eig[n, m]) ** 2
-                gap = spec.quasienergies[n] - spec.quasienergies[m]
+                mass = sum(abs(g_eig[m, c]) ** 2 for c in clusters[n]) / len(clusters[n])
+                gap = eps[n] - eps[m]
                 gap -= 2 * w * math.floor((gap + w) / (2 * w))
                 total += mass
                 if abs(gap) <= window:
@@ -204,17 +231,70 @@ def test_spectral_functions_every_state_match_brute_force(n_x, n_y):
     assert_matches_brute_force(spec, lat, SpectralFunctionConfig(chi=lat.dim, window=0.05))
 
 
-def test_spectral_functions_tied_ranks_match_brute_force():
-    """On the 4x2 torus at h = 0.2 pi/T many levels tie exactly with
-    their time-reversed copies; both paths must read the same vector at
-    each sampled rank."""
+def tied_spectrum(h):
+    """The 4x2 torus, where many levels tie exactly with their
+    time-reversed copies (h in pi/T units)."""
     lat = make_lattice(4, 2, bc_x="periodic", bc_y="periodic", dedup_coincident_bonds=False)
-    spec = diagonalize(build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.2, 2.0)))
+    return lat, diagonalize(build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, h, 2.0)))
+
+
+def test_spectral_functions_tied_ranks_match_brute_force():
+    """At h = 0.2 pi/T several sampled ranks sit in clusters of tied
+    levels; both paths give them the cluster's mean mass."""
+    lat, spec = tied_spectrum(0.2)
     config = SpectralFunctionConfig(chi=16, window=0.01)
     sampled = np.arange(config.chi) * spec.dim // config.chi
     eps = spec.quasienergies
     assert np.count_nonzero(eps[sampled] == eps[sampled + 1]) >= 3
     assert_matches_brute_force(spec, lat, config)
+
+
+def rotate_clusters(spec, seed):
+    """The spectrum with every cluster's eigenvectors replaced by a
+    random orthonormal basis of their span.  The rotation acts on the
+    full-basis eigenvectors, so clusters that span several sectors mix
+    too, and one sector of the trivial group then holds the whole
+    basis."""
+    rng = np.random.default_rng(seed)
+    vecs = spec.eigenvectors.copy()
+    labels = _level_clusters(spec.quasienergies, spec.period)
+    for label in np.unique(labels):
+        members = np.flatnonzero(labels == label)
+        size = members.size
+        q, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+        vecs[:, members] = vecs[:, members] @ q
+    dim = spec.dim
+    return dataclasses.replace(
+        spec,
+        group=SymmetryGroup(orders=(1,), images=np.arange(dim)[np.newaxis, :]),
+        sectors=(Sector(label=0, keep=np.ones(dim, dtype=bool), eigvecs=vecs, columns=np.arange(dim)),),
+    )
+
+
+@pytest.mark.parametrize("h", [0.2, 0.8])
+def test_spectral_functions_independent_of_cluster_basis(h):
+    """Any orthonormal basis of each cluster gives the same weights, to
+    rounding: at h = 0.2 and 0.8 pi/T the sampled ranks sit in clusters
+    of up to 24 tied levels that mix several sectors."""
+    lat, spec = tied_spectrum(h)
+    config = SpectralFunctionConfig(chi=16, window=0.01)
+    labels = _level_clusters(spec.quasienergies, spec.period)
+    sampled = np.arange(config.chi) * spec.dim // config.chi
+    assert max(np.count_nonzero(labels == labels[n]) for n in sampled) >= 8
+    s = corner_spectral_functions(spec, lat, config)
+    for seed in (0, 1):
+        t = corner_spectral_functions(rotate_clusters(spec, seed), lat, config)
+        for name in ("s0_1", "s0_2", "spi_1", "spi_2"):
+            assert getattr(t, name) == pytest.approx(getattr(s, name), abs=1e-12)
+
+
+def test_level_clusters_join_across_zone_edge():
+    w = math.pi / 2.0
+    eps = np.array([-w + 5e-11, -0.3, -0.3 + 1e-11, 0.2, w - 2e-11, w])
+    labels = _level_clusters(eps, 2.0)
+    assert labels.tolist() == [0, 1, 1, 2, 0, 0]
+    # a spectrum that is one run keeps one cluster
+    assert _level_clusters(np.zeros(4), 2.0).tolist() == [0, 0, 0, 0]
 
 
 def test_spectral_functions_bounded_and_phase_invariant():
@@ -228,9 +308,9 @@ def test_spectral_functions_bounded_and_phase_invariant():
 
     rng = np.random.default_rng(3)
     phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=spec.dim))
-    # eigenvector n times phases[n]: each sector's Schur columns rephased
+    # eigenvector n times phases[n]: each sector's eigenvector columns rephased
     twisted = dataclasses.replace(spec, sectors=tuple(
-        dataclasses.replace(sector, schur=sector.schur * phases[sector.columns])
+        dataclasses.replace(sector, eigvecs=sector.eigvecs * phases[sector.columns])
         for sector in spec.sectors
     ))
     t = corner_spectral_functions(twisted, lat, config)

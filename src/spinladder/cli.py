@@ -7,8 +7,9 @@ artifact header, so each result file documents how to regenerate
 itself; nothing in the pipeline draws random numbers, and rerunning a
 header config reproduces the file byte for byte.
 
-Exit codes: 0 success, 2 configuration error, 3 size-cap violation,
-4 numerical-tolerance failure.
+Exit codes: 0 success, 2 configuration error (an output path that
+cannot be written included), 3 size-cap violation, 4 numerical-tolerance
+failure.
 """
 
 from __future__ import annotations
@@ -532,7 +533,10 @@ def run_command(command: str, config: dict) -> None:
     if not path:
         raise ConfigError("no output path; set output.path or pass --out")
     columns, rows, notes = _COMMANDS[command].run(config)
-    emit(path, config["output"]["format"], command, config, columns, rows, notes)
+    try:
+        emit(path, config["output"]["format"], command, config, columns, rows, notes)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def main(argv: Sequence[str] | None = None) -> int:

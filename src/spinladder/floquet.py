@@ -32,10 +32,14 @@ time-reversed copy of sector k and only one of the two is factorized.
 Each block is diagonalized by two Hermitian eigensolves (numpy's eigh):
 one of the Hermitian part of the block turned by a fixed mirror angle,
 then one of the anti-Hermitian part within each cluster of levels that
-the first cannot tell apart.  No command imports scipy.  diagonalize and
-QuasienergySpectrum.overlaps run numpy's OpenBLAS on one thread
-(_blas.one_thread), so the levels and the overlaps do not depend on the
-thread count.
+the first cannot tell apart.  The spectrum holds its levels in sorted
+order with one sector label each, and every eigenvector in the basis
+|r, k> of the orbit representatives r in its sector k: one
+representatives x levels array, from which the full-basis vectors and
+the overlaps with them are built on demand.  No command imports scipy.
+diagonalize and QuasienergySpectrum.overlaps run numpy's OpenBLAS on one
+thread (_blas.one_thread), so the levels and the overlaps do not depend
+on the thread count.
 """
 
 from __future__ import annotations
@@ -239,7 +243,8 @@ class FloquetOperator:
         dim = self.lattice.dim
         if state.ndim not in (1, 2) or state.shape[-1] != dim:
             raise ValueError(f"state must have shape ({dim},) or (m, {dim}), got {state.shape}")
-        out = self.zz_phase * state
+        # the kick views rows as contiguous float64, so the product is C-ordered
+        out = np.multiply(self.zz_phase, state, order="C")
         return rotate_x_all_sites(out, self.lattice.n_sites, self.params.theta_h)
 
 
@@ -372,35 +377,23 @@ def symmetry_group(lattice: Lattice) -> SymmetryGroup:
 
 
 @dataclass(frozen=True)
-class Sector:
-    """The levels of one symmetry sector of a QuasienergySpectrum.
-
-    ``label`` numbers the sector like the rows of
-    SymmetryGroup.characters; ``keep`` marks the orbit representatives
-    r (SymmetryGroup.reps) whose state |r, k> exists; column j of
-    ``eigvecs`` is an orthonormal eigenvector in that basis, and
-    ``columns[j]`` is its level's index in the sorted spectrum.
-    """
-
-    label: int
-    keep: np.ndarray
-    eigvecs: np.ndarray
-    columns: np.ndarray
-
-
-@dataclass(frozen=True)
 class QuasienergySpectrum:
-    """Eigendecomposition of a Floquet operator, kept sector by sector.
+    """Eigendecomposition of a Floquet operator in the sector bases.
 
     Quasienergies are sorted ascending in (-pi/T, pi/T]; level n has
-    unit-circle eigenvalue ``eigenvalues[n]`` and eigenpair residual
-    ``residuals[n] = ||U v_n - lambda_n v_n||_2``.  The eigenvectors are
-    held per symmetry sector of ``group``, in the small sector bases.
-    vectors() embeds chosen ones in the full basis and overlaps(), its
-    adjoint, projects full-basis states onto all of them, both from the
-    group's character and orbit tables and without a D x D matrix.  The
-    dense ``eigenvectors`` (eigenvector n is ``eigenvectors[:, n]``) is
-    built only when read; nothing in the package reads it.
+    unit-circle eigenvalue ``eigenvalues[n]``, eigenpair residual
+    ``residuals[n] = ||U v_n - lambda_n v_n||_2`` and symmetry sector
+    ``labels[n]``, numbered like the rows of ``group.characters``.
+    Column n of the n_reps x D ``sector_vectors`` is eigenvector n in
+    the basis |r_a, labels[n]> of the orbit representatives r_a
+    (``group.reps``), zero on the representatives whose state does not
+    exist in that sector (``group.stab_sums[labels[n], a] == 0``).
+    vectors() embeds chosen eigenvectors in the full basis and
+    overlaps(), its adjoint, projects full-basis states onto all of
+    them, both from the group's character and orbit tables and without
+    a D x D matrix.  The dense ``eigenvectors`` (eigenvector n is
+    ``eigenvectors[:, n]``) is built only when read; nothing in the
+    package reads it.
     """
 
     quasienergies: np.ndarray
@@ -408,7 +401,8 @@ class QuasienergySpectrum:
     residuals: np.ndarray
     period: float
     group: SymmetryGroup
-    sectors: tuple[Sector, ...]
+    labels: np.ndarray
+    sector_vectors: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -423,26 +417,14 @@ class QuasienergySpectrum:
         in |r, k>, since chi is constant on the coset g * stab(r); the
         group holds g (``carrier``) and |stab r| (row 0 of
         ``stab_sums``).  Every entry is one product of that amplitude and
-        a sector eigenvector entry, so a column does not depend on which other
-        ranks are asked for.
+        a ``sector_vectors`` entry, taken rank by rank, so a column does
+        not depend on which other ranks are asked for.
         """
         ranks = np.asarray(ranks, dtype=np.intp).reshape(-1)
         group = self.group
         weights = np.sqrt(group.stab_sums[0, group.orbit] / group.order)
-        out = np.zeros((self.dim, ranks.size), dtype=complex)
-        for sector in self.sectors:
-            column = np.full(self.dim, -1)
-            column[sector.columns] = np.arange(sector.columns.size)
-            picked = np.flatnonzero(column[ranks] >= 0)
-            if not picked.size:
-                continue
-            rows = np.flatnonzero(sector.keep[group.orbit])
-            coef = group.characters[sector.label, group.carrier[rows]].conj() * weights[rows]
-            position = (np.cumsum(sector.keep) - 1)[group.orbit[rows]]
-            out[np.ix_(rows, picked)] = coef[:, np.newaxis] * sector.eigvecs[
-                np.ix_(position, column[ranks[picked]])
-            ]
-        return out
+        coef = group.characters[self.labels[ranks]][:, group.carrier].conj() * weights
+        return (coef * self.sector_vectors.T[ranks][:, group.orbit]).T
 
     @_blas.one_thread()
     def overlaps(self, states) -> np.ndarray:
@@ -457,11 +439,12 @@ class QuasienergySpectrum:
 
         are character sums: the character table times x gathered at the
         images of the representatives, the same sum that diagonalize
-        projects its blocks with.  conj(Q_k)^T of each sector then turns
-        them into eigenbasis coefficients.  The sector bases are
-        orthonormal and jointly complete, so for a unitary V this is
-        V^H x.  The products run on one BLAS thread, so the overlaps do
-        not depend on the thread count.
+        projects its blocks with.  The conjugate transpose of each
+        sector's columns of ``sector_vectors`` then turns them into
+        eigenbasis coefficients.  The sector bases are orthonormal and
+        jointly complete, so for a unitary V this is V^H x.  The
+        products run on one BLAS thread, so the overlaps do not depend
+        on the thread count.
         """
         x = np.asarray(states)
         if x.ndim not in (1, 2) or x.shape[0] != self.dim:
@@ -474,10 +457,12 @@ class QuasienergySpectrum:
         gathered = block[group.images[:, group.reps]]
         sums = np.tensordot(group.characters, gathered, axes=1)
         out = np.empty(block.shape, dtype=complex)
-        for sector in self.sectors:
-            norm = np.sqrt(group.order * group.stab_sums[sector.label, sector.keep])
-            components = sums[sector.label, sector.keep] / norm[:, np.newaxis]
-            out[sector.columns] = sector.eigvecs.conj().T @ components
+        for k in range(group.order):
+            ranks = np.flatnonzero(self.labels == k)
+            keep = group.stab_sums[k] > 0
+            norm = np.sqrt(group.order * group.stab_sums[k, keep])
+            components = sums[k, keep] / norm[:, np.newaxis]
+            out[ranks] = self.sector_vectors[np.ix_(keep, ranks)].conj().T @ components
         return out.reshape(x.shape)
 
     @functools.cached_property
@@ -574,11 +559,15 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     intertwines U with its blocks, so a block residual is also the
     full-basis residual of the embedded vector.
 
-    Levels of all sectors are sorted together by quasienergy (stable,
-    so ties keep sector order; a level and its copy in the partner
-    sector tie exactly).  The result keeps the eigenvectors per sector;
-    the dense D x D ``eigenvectors`` is embedded only when read, and
-    lattices above DENSE_SITE_CAP sites are refused.  numpy's bundled
+    Levels of all sectors, concatenated in ascending sector order, are
+    sorted together by quasienergy (stable, so ties keep sector order; a
+    level and its copy in the partner sector tie exactly).  Each
+    level's sector goes into ``labels`` and its eigenvector, in the
+    representative basis of that sector, into its column of
+    ``sector_vectors``, written in place once the blocks are freed; the
+    partner's conj(zz_r * q) is formed as it is written.  The dense
+    D x D ``eigenvectors`` is embedded only when read, and lattices
+    above DENSE_SITE_CAP sites are refused.  numpy's bundled
     OpenBLAS runs on one thread meanwhile, so the levels do not depend on
     the thread count.
     """
@@ -596,7 +585,7 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     blocks = group.characters[factored] @ columns[:, group.images[:, reps]]
     del columns
 
-    parts = {}  # sector label: (keep, eigenvectors, eigenvalues, residuals)
+    factors = {}  # sector label: (eigenvectors, eigenvalues, residuals)
     for i, k in enumerate(factored):
         keep = stab_sums[k] > 0
         if not keep.any():
@@ -615,32 +604,35 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
                 f"worst eigenpair residual {residuals.max():.3e} exceeds "
                 f"{RESIDUAL_TOL:.1e} in sector {k}"
             )
-        parts[k] = (keep, q_mat, lam, residuals)
-        if partners[k] != k:
-            zz = op.zz_phase[reps[keep]]
-            parts[partners[k]] = (keep, (zz[:, np.newaxis] * q_mat).conj(), lam, residuals)
+        factors[k] = (q_mat, lam, residuals)
+    del blocks
 
-    labels = sorted(parts)
+    # every sector with levels, ascending, and the factored sector it copies
+    source = dict(sorted({int(p): int(k) for k in factors for p in (k, partners[k])}.items()))
+    sizes = [factors[k][1].size for k in source.values()]
     period = op.params.period
-    lam = np.concatenate([parts[k][2] for k in labels])
-    residuals = np.concatenate([parts[k][3] for k in labels])
+    lam = np.concatenate([factors[k][1] for k in source.values()])
+    residuals = np.concatenate([factors[k][2] for k in source.values()])
     eps = fold_quasienergy(-np.angle(lam) / period, period)
     order = np.argsort(eps, kind="stable")
-    slot = np.empty_like(order)
-    slot[order] = np.arange(order.size)
-    ends = np.cumsum([parts[k][2].size for k in labels])
-    sectors = tuple(
-        Sector(label=int(k), keep=parts[k][0], eigvecs=parts[k][1], columns=columns)
-        for k, columns in zip(labels, np.split(slot, ends[:-1]))
-    )
-    for sector in sectors:
-        for arr in (sector.keep, sector.eigvecs, sector.columns):
-            arr.setflags(write=False)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    labels = np.repeat(list(source), sizes)[order]
+    ranks = dict(zip(source, np.split(rank, np.cumsum(sizes)[:-1])))
+    sector_vectors = np.zeros((reps.size, order.size), dtype=complex)
+    for k in list(factors):
+        # each q is dropped once its sector and the partner's copy are written
+        q_mat = factors.pop(k)[0]
+        keep = stab_sums[k] > 0
+        sector_vectors[np.ix_(keep, ranks[k])] = q_mat
+        if partners[k] != k:
+            zz = op.zz_phase[reps[keep], np.newaxis]
+            sector_vectors[np.ix_(keep, ranks[partners[k]])] = (zz * q_mat).conj()
 
     eps = np.ascontiguousarray(eps[order])
     lam = np.ascontiguousarray(lam[order])
     residuals = np.ascontiguousarray(residuals[order])
-    for arr in (eps, lam, residuals):
+    for arr in (eps, lam, residuals, labels, sector_vectors):
         arr.setflags(write=False)
     return QuasienergySpectrum(
         quasienergies=eps,
@@ -648,7 +640,8 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
         residuals=residuals,
         period=period,
         group=group,
-        sectors=sectors,
+        labels=labels,
+        sector_vectors=sector_vectors,
     )
 
 

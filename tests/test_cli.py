@@ -475,6 +475,13 @@ def test_exit_codes(tmp_path, monkeypatch):
     bad.write_text('{"lattice": {"n_x": 1, "n_y": 2}, "task": {"periods": 2, "axis": 1%s}}' % ("0" * 400))
     assert cli.main(["dynamics", "--out", str(out), "--config", str(bad)]) == 2
     assert not out.exists()
+    # an output path in a missing directory, and one that is a directory
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    for target in (tmp_path / "missing" / "x.csv", outdir):
+        assert cli.main(["spectrum", "--nx", "2", "--ny", "2", "--out", str(target)]) == 2
+    assert not list(tmp_path.glob(".spinladder-*"))
+    assert not list(outdir.iterdir())
     # spectrum above the dense size cap
     assert cli.main(["spectrum", "--out", str(out), "--nx", "1", "--ny", "15"]) == 3
 

@@ -15,7 +15,6 @@ from spinladder.floquet import (
     DriveParams,
     NumericalToleranceError,
     QuasienergySpectrum,
-    Sector,
     SymmetryGroup,
     build_floquet,
     diagonalize,
@@ -177,8 +176,8 @@ def test_stacked_apply_rows_match_single_applies(n_sites, h):
     """Every row of an (m, D) stack comes out of apply() bit for bit as
     it does alone: below D = 2048 the lowest group's gemm covers a whole
     vector, above it the vector is cut into several gemms, and an odd m
-    must cut neither across vectors.  At h = 0 only the zz multiply
-    runs."""
+    must cut neither across vectors.  A Fortran-ordered stack gives the
+    same rows.  At h = 0 only the zz multiply runs."""
     lat = make_lattice(1, n_sites)
     op = build_floquet(lat, DriveParams(j_x=0.4, j_y=0.7, h=h, period=2.0))
     rng = np.random.default_rng(n_sites)
@@ -190,6 +189,8 @@ def test_stacked_apply_rows_match_single_applies(n_sites, h):
         assert np.array_equal(stack, before)
         for row, state in zip(got, stack):
             assert np.array_equal(row, op.apply(state))
+        # a Fortran-ordered stack, the transpose of a (D, m) array
+        assert np.array_equal(op.apply(np.ascontiguousarray(stack.T).T), got)
 
 
 def test_apply_rejects_misshaped_states():
@@ -433,14 +434,16 @@ def test_copied_sectors_match_their_own_schur(n_x, n_y, h):
     op = build_floquet(lat, params, materialize_dense=True)
     spec = diagonalize(op)
     partners = spec.group.partners
-    copied = [s for s in spec.sectors if s.label > partners[s.label]]
+    copied = [k for k in np.unique(spec.labels) if k > partners[k]]
     assert copied
-    for sector in copied:
-        basis, keep = _sector_basis(spec.group, sector.label)
-        assert np.array_equal(keep, sector.keep)
+    for label in copied:
+        basis, keep = _sector_basis(spec.group, label)
+        ranks = np.flatnonzero(spec.labels == label)
+        assert np.array_equal(keep, spec.group.stab_sums[label] > 0)
+        assert keep.sum() == ranks.size
         t_mat, _ = scipy.linalg.schur(basis.conj().T @ op.dense @ basis, output="complex")
         own = np.diag(t_mat)
-        got = spec.eigenvalues[sector.columns]
+        got = spec.eigenvalues[ranks]
         rows, cols = scipy.optimize.linear_sum_assignment(np.abs(got[:, np.newaxis] - own))
         assert np.abs(got[rows] - own[cols]).max() <= 1e-12
 
@@ -461,14 +464,18 @@ def test_eigenvectors_built_once_and_readonly():
 )
 def test_vectors_and_overlaps_match_eigenvectors(n_x, n_y, bc):
     """vectors() embeds columns of ``eigenvectors`` bit for bit, and
-    overlaps() is V^H x, on ranks of copied partner sectors too."""
+    overlaps() is V^H x, on ranks of copied partner sectors too.  Each
+    embedded vector transforms under the group with its sector's
+    characters, and its sector vector vanishes on the representatives
+    whose state does not exist in that sector."""
     lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc, dedup_coincident_bonds=False)
     spec = diagonalize(build_floquet(lat, DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0)))
     rng = np.random.default_rng(5)
-    partners = spec.group.partners
-    copied = [s.columns for s in spec.sectors if s.label > partners[s.label]]
-    assert bool(copied) == (bc == "periodic")
-    ranks = np.concatenate([rng.choice(spec.dim, 6, replace=False), *[c[:1] for c in copied]])
+    group = spec.group
+    copied = spec.labels > group.partners[spec.labels]
+    assert copied.any() == (bc == "periodic")
+    firsts = [np.flatnonzero(spec.labels == k)[0] for k in np.unique(spec.labels[copied])]
+    ranks = np.concatenate([rng.choice(spec.dim, 6, replace=False), firsts]).astype(np.intp)
     block = spec.vectors(ranks)
     states = rng.normal(size=(lat.dim, 3)) + 1j * rng.normal(size=(lat.dim, 3))
     got = spec.overlaps(states)
@@ -484,6 +491,20 @@ def test_vectors_and_overlaps_match_eigenvectors(n_x, n_y, bc):
     )
     with pytest.raises(ValueError):
         spec.overlaps(states[1:])
+
+    # (rank, representative) pairs whose state does not exist in the rank's
+    # sector; the spin flip alone fixes no basis state
+    absent = group.stab_sums[spec.labels] == 0
+    assert absent.any() == (bc == "periodic")
+    assert np.all(spec.sector_vectors.T[absent] == 0)
+    for n in ranks:
+        vec = spec.vectors([n])[:, 0]
+        for g in range(group.order):
+            moved = np.empty_like(vec)
+            moved[group.images[g]] = vec
+            np.testing.assert_allclose(
+                moved, group.characters[spec.labels[n], g] * vec, rtol=0, atol=1e-12
+            )
 
 
 def test_identity_drive_spectrum_is_zero():
@@ -510,7 +531,8 @@ def test_fold_quasienergy_properties(value, shift, period):
 
 
 def _fake_spectrum(values, period):
-    """Given levels with identity eigenvectors: one sector of the trivial group."""
+    """Given levels with identity eigenvectors, all in the one sector of
+    the trivial group."""
     eps = np.sort(np.asarray(values, dtype=float))
     dim = eps.size
     return QuasienergySpectrum(
@@ -519,14 +541,8 @@ def _fake_spectrum(values, period):
         residuals=np.zeros(dim),
         period=period,
         group=SymmetryGroup(orders=(1,), images=np.arange(dim)[np.newaxis, :]),
-        sectors=(
-            Sector(
-                label=0,
-                keep=np.ones(dim, dtype=bool),
-                eigvecs=np.eye(dim, dtype=complex),
-                columns=np.arange(dim),
-            ),
-        ),
+        labels=np.zeros(dim, dtype=np.intp),
+        sector_vectors=np.eye(dim, dtype=complex),
     )
 
 

@@ -10,7 +10,6 @@ import pytest
 from spinladder.floquet import (
     RESIDUAL_TOL,
     DriveParams,
-    Sector,
     SymmetryGroup,
     build_floquet,
     diagonalize,
@@ -253,13 +252,13 @@ def rotate_clusters(spec, seed):
     """The spectrum with every cluster's eigenvectors replaced by a
     random orthonormal basis of their span.  The rotation acts on the
     full-basis eigenvectors, so clusters that span several sectors mix
-    too, and one sector of the trivial group then holds the whole
-    basis."""
+    too, and the one sector of the trivial group then holds every
+    level."""
     rng = np.random.default_rng(seed)
     vecs = spec.eigenvectors.copy()
-    labels = _level_clusters(spec.quasienergies, spec.period)
-    for label in np.unique(labels):
-        members = np.flatnonzero(labels == label)
+    clusters = _level_clusters(spec.quasienergies, spec.period)
+    for cluster in np.unique(clusters):
+        members = np.flatnonzero(clusters == cluster)
         size = members.size
         q, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
         vecs[:, members] = vecs[:, members] @ q
@@ -267,7 +266,8 @@ def rotate_clusters(spec, seed):
     return dataclasses.replace(
         spec,
         group=SymmetryGroup(orders=(1,), images=np.arange(dim)[np.newaxis, :]),
-        sectors=(Sector(label=0, keep=np.ones(dim, dtype=bool), eigvecs=vecs, columns=np.arange(dim)),),
+        labels=np.zeros(dim, dtype=np.intp),
+        sector_vectors=vecs,
     )
 
 
@@ -308,11 +308,8 @@ def test_spectral_functions_bounded_and_phase_invariant():
 
     rng = np.random.default_rng(3)
     phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=spec.dim))
-    # eigenvector n times phases[n]: each sector's eigenvector columns rephased
-    twisted = dataclasses.replace(spec, sectors=tuple(
-        dataclasses.replace(sector, eigvecs=sector.eigvecs * phases[sector.columns])
-        for sector in spec.sectors
-    ))
+    # eigenvector n times phases[n]
+    twisted = dataclasses.replace(spec, sector_vectors=spec.sector_vectors * phases)
     t = corner_spectral_functions(twisted, lat, config)
     assert t.s0_1 == pytest.approx(s.s0_1, abs=1e-12)
     assert t.spi_1 == pytest.approx(s.spi_1, abs=1e-12)

@@ -13,6 +13,7 @@ from .dynamics import (
     MagnetizationTrace,
     PowerSpectrum,
     all_up,
+    evolve_scan,
     evolve_stroboscopic,
     measure_magnetization,
     one_flip,
@@ -93,6 +94,7 @@ __all__ = [
     "corner_modes",
     "corner_spectral_functions",
     "diagonalize",
+    "evolve_scan",
     "evolve_stroboscopic",
     "fold_quasienergy",
     "gamma_pbc",

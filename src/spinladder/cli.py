@@ -21,11 +21,13 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin
 
 from .dynamics import (
     MagnetizationTrace,
-    evolve_stroboscopic,
+    check_spectrum_periods,
+    evolve_scan,
     one_flip,
     power_spectrum,
     prepare_state,
@@ -51,6 +53,10 @@ DEFAULT_SIZES = [
     [2, 2], [3, 2], [4, 2], [5, 2], [6, 2],
     [1, 4], [1, 6], [1, 8], [1, 10], [1, 12],
 ]
+
+#: amplitudes in one stack of a dynamics scan: the h values of a scan
+#: evolve together in stacks of at most max(1, this // D) rows
+SCAN_STACK_AMPLITUDES = 1 << 16
 
 
 class ConfigError(ValueError):
@@ -390,38 +396,53 @@ def cmd_spacing_table(config: dict) -> _Table:
     return ["size", "min_dev", "max_dev"], rows, notes
 
 
-def _trace_runner(config: dict) -> Callable[..., MagnetizationTrace]:
+def _trace_runner(
+    config: dict, spectrum: bool = False
+) -> Callable[[Sequence[float]], list[MagnetizationTrace]]:
     """Resolve a dynamics task and prepare its state; return its evolution.
 
     The whole task is checked here, before any evolution, so a bad
-    config fails even when a scan has no values.  The returned function
-    evolves the state with the given drive couplings replaced, in the
-    block's units.
+    config fails even when a scan has no values; with ``spectrum`` the
+    period count must also give a power spectrum.  The returned function
+    evolves the state at each given kick field h, in the block's units,
+    in stacks of at most max(1, SCAN_STACK_AMPLITUDES // D) h values,
+    and returns one trace per h.  The zz phase depends on the lattice,
+    j_x, j_y and T alone, so every point shares the block's.
     """
     lattice = resolve_lattice(config)
-    resolve_drive(config)
+    base = build_floquet(lattice, resolve_drive(config))
     task = config["task"]
     periods = int(task["periods"])
+    if spectrum:
+        check_spectrum_periods(periods)
     axis = float(task["axis"])
     state = prepare_state(lattice, parse_init(task["init"]))
+    stack = max(1, SCAN_STACK_AMPLITUDES // lattice.dim)
 
-    def run(**couplings: float) -> MagnetizationTrace:
-        op = build_floquet(lattice, resolve_drive(config, **couplings))
-        return evolve_stroboscopic(op, state, periods, axis=axis)
+    def run(h_values: Sequence[float]) -> list[MagnetizationTrace]:
+        traces = []
+        for start in range(0, len(h_values), stack):
+            ops = [
+                replace(base, params=resolve_drive(config, h=h))
+                for h in h_values[start:start + stack]
+            ]
+            traces.extend(evolve_scan(ops, state, periods, axis=axis))
+        return traces
 
     return run
 
 
 def cmd_dynamics(config: dict) -> _Table:
     """Stroboscopic magnetization trace: period index, total magnetization."""
-    trace = _trace_runner(config)()
+    (trace,) = _trace_runner(config)([config["drive"]["h"]])
     rows = [[int(n), float(m)] for n, m in zip(trace.times, trace.values)]
     return ["n", "magnetization"], rows, []
 
 
 def cmd_power(config: dict) -> _Table:
     """Discrete power spectrum of the stroboscopic trace."""
-    spectrum = power_spectrum(_trace_runner(config)())
+    (trace,) = _trace_runner(config, spectrum=True)([config["drive"]["h"]])
+    spectrum = power_spectrum(trace)
     rows = [
         [float(w), float(m)]
         for w, m in zip(spectrum.frequencies, spectrum.magnitudes)
@@ -431,10 +452,11 @@ def cmd_power(config: dict) -> _Table:
 
 def cmd_scan(config: dict) -> _Table:
     """Subharmonic peak height versus kick field h on one lattice."""
-    run = _trace_runner(config)
+    h_values = config["task"]["h_values"]
+    traces = _trace_runner(config, spectrum=True)(h_values)
     rows = [
-        [float(v), power_spectrum(run(h=v)).subharmonic_amplitude]
-        for v in config["task"]["h_values"]
+        [float(v), power_spectrum(trace).subharmonic_amplitude]
+        for v, trace in zip(h_values, traces)
     ]
     return ["h", "peak"], rows, []
 

@@ -7,15 +7,21 @@ the state so that the tilted axis becomes the z axis, then accumulates
 the diagonal sum of sigma_z expectation values; this reuses the kick
 kernel instead of building any operator matrix.
 
-An evolution never writes its input.  It allocates its workspace once
-(the state in the kick's real frame, one kick scratch buffer, one
-measurement copy when the axis is tilted, and the float weights) and
-then runs every period in place: the zz multiply and the real kick
-kernel, with no quarter-turn phase passes, since |Q x| = |x| for the
-exact phase diagonal Q that separates the frame from the state.  The
-norm guard sums the same squared amplitudes as the magnetization,
-elementwise, so no step of a period calls BLAS outside the kick's
-single-threaded gemms.
+evolve_scan evolves one state under several drives that differ only in
+the kick field h, as one (rows, D) stack with one row per h: the rows
+share the zz phase and each has its own kick angle.  Each row equals
+the single evolution of its drive bit for bit, and evolve_stroboscopic
+is the one-row case.  An evolution never writes its input.  It
+allocates its workspace once (the states in the kick's real frame, one
+kick scratch buffer, one measurement copy when the axis is tilted, and
+the float weights, each one row per h), binds the kick's matmul
+operands to those buffers once, and then runs every period in place:
+the zz multiply and the real kick kernel, with no quarter-turn phase
+passes, since |Q x| = |x| for the exact phase diagonal Q that separates
+the frame from the state.  The norm guard sums the same squared
+amplitudes as the magnetization, elementwise and row by row, so no step
+of a period calls BLAS outside the kick's single-threaded gemms; the
+squared norms are recorded per period and checked after the loop.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,7 +37,7 @@ import numpy as np
 from .floquet import (
     FloquetOperator,
     NumericalToleranceError,
-    _kick_in_frame,
+    _bind_kick,
     _quarter_turns,
     rotate_x_all_sites,
 )
@@ -115,18 +121,19 @@ def _zsum_diagonal(n_sites: int) -> np.ndarray:
 
 def _magnetization_and_norm(
     amplitudes: np.ndarray, weights: np.ndarray, n_sites: int
-) -> tuple[float, float]:
-    """Z magnetization and squared norm from the squared ``amplitudes``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Z magnetization and squared norm from the squared ``amplitudes``,
+    of one vector or of each row of a stack.
 
-    ``weights`` is a float scratch array of the same length, overwritten.
+    ``weights`` is a float scratch array of the same shape, overwritten.
     Both are elementwise sums, not BLAS dots, which OpenBLAS would split
     by thread count from 2**14 amplitudes on.
     """
     np.abs(amplitudes, out=weights)
     np.square(weights, out=weights)
-    norm_sq = float(weights.sum())
+    norm_sq = weights.sum(axis=-1)
     weights *= _zsum_diagonal(n_sites)
-    return float(weights.sum()), norm_sq
+    return weights.sum(axis=-1), norm_sq
 
 
 def measure_magnetization(
@@ -140,7 +147,7 @@ def measure_magnetization(
     work = np.asarray(state, dtype=complex)
     if axis != 0.0:
         work = rotate_x_all_sites(work.copy(), n_sites, 0.5 * axis)
-    return _magnetization_and_norm(work, np.empty(work.shape), n_sites)[0]
+    return float(_magnetization_and_norm(work, np.empty(work.shape), n_sites)[0])
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,118 @@ class MagnetizationTrace:
         return self.values.size - 1
 
 
+def evolve_scan(
+    ops: Sequence[FloquetOperator],
+    state: np.ndarray,
+    periods: int,
+    axis: float = 0.0,
+) -> tuple[MagnetizationTrace, ...]:
+    """Evolve one state under each operator for ``periods`` drive periods,
+    measuring each step; return one trace per operator, in order.
+
+    The operators must share the lattice and differ only in h, as the
+    points of a kick-field scan do.  All of them run as one (rows, D)
+    stack, one row per operator: the rows share the zz phase of the
+    first operator (it depends on the lattice, j_x, j_y and T alone) and
+    each has its own kick angle.  Every gemm of the kick has the size it
+    has for one row, and the row sums of the measurement are the sums of
+    one row, so each trace equals evolve_stroboscopic of its operator bit
+    for bit; only the per-call overhead is shared.
+
+    The input state is never written.  The evolution runs in the kick's
+    real frame: it holds u = conj(Q) v with Q = diag(i**popcount(b))
+    instead of the state v, so a period is the zz multiply followed by
+    the real kick kernel, both in place, with none of the phase passes of
+    rotate_x_all_sites.  The diagonals commute with Q, and multiplying
+    by +-1 or +-i is exact, so u is the public per-period state up to an
+    exact phase per amplitude and |u|**2 = |v|**2 bit for bit.  A row at
+    h = 0 takes identity blocks, which leave every amplitude's value as
+    it is; the kick is skipped only when every row has h = 0.
+
+    All buffers are allocated once per evolution: u, the kernel's
+    scratch, a copy of u for a tilted measurement and the float weights,
+    each one row per operator.  The kick alternates u between two
+    buffers; its matmul operands are bound once for either buffer
+    holding u, and so are those of the tilted measurement, which runs
+    the same kernel at angle axis/2 on the copy: rotate_x_all_sites
+    without its phases.
+
+    The squared norms, summed from the squared amplitudes the
+    measurement sums anyway, are recorded every period and checked once
+    after the loop: a drift beyond NORM_TOL in any row raises, naming
+    the first period it shows in, rather than returning silently wrong
+    data.
+    """
+    ops = tuple(ops)
+    if not ops:
+        raise ValueError("need at least one operator")
+    first = ops[0]
+    for op in ops[1:]:
+        if op.lattice != first.lattice or replace(op.params, h=first.params.h) != first.params:
+            raise ValueError("the operators of a scan must share the lattice and differ only in h")
+    if periods < 1:
+        raise ValueError("periods must be >= 1")
+    n = first.lattice.n_sites
+    v = np.asarray(state, dtype=complex)
+    if v.shape != (first.lattice.dim,):
+        raise ValueError(f"state must have shape ({first.lattice.dim},), got {v.shape}")
+    angles = tuple(op.params.theta_h for op in ops)
+    zz = first.zz_phase
+    u = np.empty((len(ops), v.size), dtype=complex)
+    np.multiply(v, _quarter_turns(n).conj(), out=u)
+    buffers = (u, np.empty_like(u))
+    weights = np.empty(u.shape)
+    # sin(theta) == 0 only at theta == 0, where the kick is the identity
+    kicks = (
+        [_bind_kick(buffers[p], buffers[1 - p], n, angles) for p in (0, 1)]
+        if any(math.sin(theta) != 0.0 for theta in angles)
+        else None
+    )
+    if axis != 0.0:
+        copy = np.empty_like(u)
+        tilts = [_bind_kick(copy, buffers[1 - p], n, 0.5 * axis) for p in (0, 1)]
+
+    def measure(p: int) -> tuple[np.ndarray, np.ndarray]:
+        amplitudes = buffers[p]
+        if axis != 0.0:
+            np.copyto(copy, amplitudes)
+            amplitudes = tilts[p]()
+        return _magnetization_and_norm(amplitudes, weights, n)
+
+    values = np.empty((len(ops), periods + 1))
+    norms_sq = np.empty((len(ops), periods))
+    p = 0  # buffers[p] holds u
+    values[:, 0] = measure(p)[0]
+    for step in range(1, periods + 1):
+        np.multiply(zz, buffers[p], out=buffers[p])
+        if kicks is not None and kicks[p]() is not buffers[p]:
+            p = 1 - p
+        values[:, step], norms_sq[:, step - 1] = measure(p)
+    drift = np.abs(np.sqrt(norms_sq) - 1.0)
+    # written so that a NaN norm fails too
+    bad = ~(drift <= NORM_TOL)
+    if bad.any():
+        step = int(np.flatnonzero(bad.any(axis=0))[0])
+        row = int(np.flatnonzero(bad[:, step])[0])
+        raise NumericalToleranceError(
+            f"norm drifted to {math.sqrt(norms_sq[row, step])!r} after {step + 1} periods"
+            f" (h = {ops[row].params.h!r})"
+        )
+    times = np.arange(periods + 1)
+    for arr in (times, values):
+        arr.setflags(write=False)
+    return tuple(
+        MagnetizationTrace(
+            times=times,
+            values=values[row],
+            axis=axis,
+            period=op.params.period,
+            max_norm_drift=float(drift[row].max()),
+        )
+        for row, op in enumerate(ops)
+    )
+
+
 def evolve_stroboscopic(
     op: FloquetOperator,
     state: np.ndarray,
@@ -170,70 +289,12 @@ def evolve_stroboscopic(
 ) -> MagnetizationTrace:
     """Evolve a state for ``periods`` drive periods, measuring each step.
 
-    The input state is never written.  The evolution runs in the kick's
-    real frame: it holds u = conj(Q) v with Q = diag(i**popcount(b))
-    instead of the state v, so a period is the zz multiply followed by
-    the real kick kernel, both in place, with none of the phase passes of
-    rotate_x_all_sites.  The diagonals commute with Q, and multiplying
-    by +-1 or +-i is exact, so u is the public per-period state up to an
-    exact phase per amplitude and |u|**2 = |v|**2 bit for bit.
-
-    All buffers are allocated once per evolution: u, the kernel's
-    scratch, a copy of u for a tilted measurement and the float weights.
-    A tilted measurement runs the same kernel at angle axis/2 on the
-    copy, which is rotate_x_all_sites without its phases.
-
-    The norm is checked against drift after every period, from the
-    squared amplitudes the measurement sums anyway; a violation beyond
-    NORM_TOL raises rather than returning silently wrong data.
+    The one-row case of evolve_scan: the input state is never written,
+    every buffer is allocated once, and a norm drift beyond NORM_TOL
+    raises NumericalToleranceError.
     """
-    if periods < 1:
-        raise ValueError("periods must be >= 1")
-    n = op.lattice.n_sites
-    v = np.asarray(state, dtype=complex)
-    if v.shape != (op.lattice.dim,):
-        raise ValueError(f"state must have shape ({op.lattice.dim},), got {v.shape}")
-    theta = op.params.theta_h
-    # sin(theta) == 0 only at theta == 0, where the kick is the identity
-    kick = math.sin(theta) != 0.0
-    u = v * _quarter_turns(n).conj()
-    spare = np.empty_like(u)
-    copy = np.empty_like(u) if axis != 0.0 else None
-    weights = np.empty(u.shape)
-
-    def measure(amplitudes: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
-        if copy is not None:
-            np.copyto(copy, amplitudes)
-            amplitudes = _kick_in_frame(copy, scratch, n, 0.5 * axis)
-        return _magnetization_and_norm(amplitudes, weights, n)
-
-    values = np.empty(periods + 1)
-    values[0] = measure(u, spare)[0]
-    max_drift = 0.0
-    for step in range(1, periods + 1):
-        np.multiply(op.zz_phase, u, out=u)
-        if kick:
-            out = _kick_in_frame(u, spare, n, theta)
-            if out is spare:
-                u, spare = spare, u
-        values[step], norm_sq = measure(u, spare)
-        norm = math.sqrt(norm_sq)
-        # written so that a NaN norm fails too
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise NumericalToleranceError(
-                f"norm drifted to {norm!r} after {step} periods"
-            )
-        max_drift = max(max_drift, abs(norm - 1.0))
-    times = np.arange(periods + 1)
-    for arr in (times, values):
-        arr.setflags(write=False)
-    return MagnetizationTrace(
-        times=times,
-        values=values,
-        axis=axis,
-        period=op.params.period,
-        max_norm_drift=max_drift,
-    )
+    (trace,) = evolve_scan((op,), state, periods, axis)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -268,6 +329,16 @@ class PowerSpectrum:
         return self.subharmonic_amplitude / top
 
 
+def check_spectrum_periods(periods: int) -> None:
+    """Raise ValueError unless ``periods`` evolved periods give a power
+    spectrum: at least two, and an even number, so that pi/T sits on
+    the frequency grid."""
+    if periods < 2:
+        raise ValueError("need at least two evolved periods")
+    if periods % 2:
+        raise ValueError(f"sample count {periods} is odd; pi/T is then off-grid")
+
+
 def power_spectrum(trace: MagnetizationTrace) -> PowerSpectrum:
     """Power spectrum of a magnetization trace on the frequency grid 2 pi k / (M T).
 
@@ -275,10 +346,7 @@ def power_spectrum(trace: MagnetizationTrace) -> PowerSpectrum:
     on the grid.
     """
     m = trace.n_periods
-    if m < 2:
-        raise ValueError("need at least two evolved periods")
-    if m % 2:
-        raise ValueError(f"sample count {m} is odd; pi/T is then off-grid")
+    check_spectrum_periods(m)
     samples = trace.values[1:]
     coeffs = np.fft.fft(samples) / m
     magnitudes = np.abs(coeffs)

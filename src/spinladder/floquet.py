@@ -14,13 +14,19 @@ rotate_x_all_sites multiplies by an exact quarter-turn phase per basis
 state, runs the real kernel (one matmul per group of KICK_BLOCK_SITES
 sites with the cached kron power of exp(i theta Y) on the float64 view
 of the state, into a scratch buffer), and multiplies the phase back,
-O(2**N * 2**KICK_BLOCK_SITES) per period.  Every gemm stays below
-KICK_GEMM_MACS multiply-adds, so the kick runs on the calling thread.
-The phases commute with U_zz, so a caller that propagates many periods
-(dynamics.evolve_stroboscopic) stays in the real frame and calls the
-kernel alone, on buffers it owns.  apply() also takes a stack of
-states, and that is how the spectrum reads U: the symmetry blocks are
-projected from U applied to the orbit representatives.
+O(2**N * 2**KICK_BLOCK_SITES) per period.  The kernel takes one angle
+for every state or one angle per row of a stack; its blocks are cached
+per tuple of angles, stacked along a leading row axis, with the lowest
+group's block stored transposed so that its gemm runs NN.  Every gemm
+stays below KICK_GEMM_MACS multiply-adds and has the same size for a
+row of a stack as for one state, so the kick runs on the calling
+thread and a row's result does not depend on the other rows.  The
+phases commute with U_zz, so a caller that propagates many periods
+(dynamics.evolve_scan, one row per kick field) stays in the real
+frame, binds the kernel to buffers it owns once and then calls it
+alone.  apply() also takes a stack of states, and that is how the
+spectrum reads U: the symmetry blocks are projected from U applied to
+the orbit representatives.
 
 Quasienergies are eps = -arg(lambda) / T folded into (-pi/T, pi/T].
 The spectrum is computed sector by sector: the global spin flip and the
@@ -47,6 +53,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -127,7 +134,6 @@ class DriveParams:
         return 0.5 * self.h * self.period
 
 
-@functools.lru_cache(maxsize=32)
 def _kick_blocks(angle: float, n_sites: int) -> tuple[np.ndarray, ...]:
     """The real blocks of the kick kernel, one per group of
     KICK_BLOCK_SITES sites, lowest group first.
@@ -135,9 +141,7 @@ def _kick_blocks(angle: float, n_sites: int) -> tuple[np.ndarray, ...]:
     A group of w sites takes R^w, the 2**w x 2**w kron power of
     exp(i * angle * Y) = [[c, s], [-s, c]].  The lowest group acts on
     the float64 view of the amplitudes, whose (re, im) pairs double the
-    axis, so its block is kron(R^w, I2).  Cached: the kick angle is
-    fixed per operator and the measurement angle per evolution, and the
-    blocks cost more to build than a kick.
+    axis, so its block is kron(R^w, I2).
     """
     c = math.cos(angle)
     s = math.sin(angle)
@@ -145,7 +149,23 @@ def _kick_blocks(angle: float, n_sites: int) -> tuple[np.ndarray, ...]:
     for _ in range(min(KICK_BLOCK_SITES, n_sites)):
         powers.append(np.kron(powers[-1], np.array([[c, s], [-s, c]])))
     widths = [min(KICK_BLOCK_SITES, n_sites - k) for k in range(0, n_sites, KICK_BLOCK_SITES)]
-    blocks = (np.kron(powers[widths[0]], np.eye(2)), *(powers[w] for w in widths[1:]))
+    return (np.kron(powers[widths[0]], np.eye(2)), *(powers[w] for w in widths[1:]))
+
+
+@functools.lru_cache(maxsize=32)
+def _stacked_blocks(angles: tuple[float, ...], n_sites: int) -> tuple[np.ndarray, ...]:
+    """_kick_blocks of each angle, stacked along a leading row axis and
+    shaped to broadcast against the kernel's operands.
+
+    The lowest group's block is stored transposed and contiguous, so its
+    gemm (rows of amplitudes times the block's transpose) runs NN.
+    Cached per tuple of angles: the kick angles are fixed per evolution
+    and the measurement angle per axis, and the blocks cost more to build
+    than a kick.
+    """
+    groups = zip(*(_kick_blocks(angle, n_sites) for angle in angles))
+    lowest = np.stack(next(groups)).swapaxes(1, 2).copy()[:, np.newaxis]
+    blocks = (lowest, *(np.stack(group)[:, np.newaxis, np.newaxis] for group in groups))
     for block in blocks:
         block.setflags(write=False)
     return blocks
@@ -160,43 +180,53 @@ def _quarter_turns(n_sites: int) -> np.ndarray:
     return out
 
 
-def _kick_in_frame(
-    state: np.ndarray, scratch: np.ndarray, n_sites: int, angle: float
-) -> np.ndarray:
-    """Apply the real kron power of exp(i * angle * Y) to the complex,
+def _bind_kick(
+    state: np.ndarray, scratch: np.ndarray, n_sites: int, angle: float | tuple[float, ...]
+) -> Callable[[], np.ndarray]:
+    """Bind the real kron power of exp(i * angle * Y) to the complex,
     contiguous ``state`` (one vector or a stack of vectors along the
-    last axis), alternating with ``scratch``.
+    last axis), alternating with ``scratch``; return the kick.
 
-    Both buffers are overwritten; the return value is whichever of the
-    two holds the result.  Sites are taken in groups of KICK_BLOCK_SITES
-    (the last group may be narrower).  Group [k, k + w) multiplies the
-    axis of bits k..k+w-1 by its cached real block, writing into the
-    other buffer, so the kick costs O(2**N * 2**KICK_BLOCK_SITES) time
-    per vector and allocates nothing.  The lowest group interleaves real
-    and imaginary parts and multiplies stacks of rows; upper groups
-    multiply stacks of columns.  Every gemm is cut, by the vector length
-    alone, to at most KICK_GEMM_MACS multiply-adds, which OpenBLAS runs
-    on the calling thread, so each output is one inner product of length
-    2**w or 2**(w + 1) whatever the thread count or the stack size.
+    ``angle`` is one angle for every vector or a tuple with one angle
+    per row of an (m, D) stack.  Each call of the returned function
+    overwrites both buffers and returns whichever of the two holds the
+    result, so a caller that kicks the same buffers every period binds
+    the matmul operands once.  Sites are taken in groups of
+    KICK_BLOCK_SITES (the last group may be narrower).  Group [k, k + w)
+    multiplies the axis of bits k..k+w-1 by its cached real block,
+    writing into the other buffer, so the kick costs
+    O(2**N * 2**KICK_BLOCK_SITES) time per vector and allocates nothing.
+    The lowest group interleaves real and imaginary parts and multiplies
+    stacks of rows; upper groups multiply stacks of columns.  Every gemm
+    is cut, by the vector length alone, to at most KICK_GEMM_MACS
+    multiply-adds, which OpenBLAS runs on the calling thread, so each
+    output is one inner product of length 2**w or 2**(w + 1) whatever the
+    thread count, the stack size or the angles of the other rows.
     """
+    angles = angle if isinstance(angle, tuple) else (angle,)
+    # with one angle the whole stack folds into the batch axis
+    lead = len(angles)
+    products = []
     src, dst = state, scratch
-    for k, block in zip(range(0, n_sites, KICK_BLOCK_SITES), _kick_blocks(angle, n_sites)):
+    for k, block in zip(range(0, n_sites, KICK_BLOCK_SITES), _stacked_blocks(angles, n_sites)):
         x, y = src.view(np.float64), dst.view(np.float64)
-        size = block.shape[0]
+        size = block.shape[-1]
         if k == 0:
-            shape = (-1, min(KICK_GEMM_MACS // size**2, x.shape[-1] // size), size)
-            np.matmul(x.reshape(shape), block.T, out=y.reshape(shape))
+            shape = (lead, -1, min(KICK_GEMM_MACS // size**2, x.shape[-1] // size), size)
+            products.append((x.reshape(shape), block, y.reshape(shape)))
         else:
             cols = 2 << k
             chunk = min(cols, KICK_GEMM_MACS // size**2)
-            shape = (-1, size, cols // chunk, chunk)
-            np.matmul(
-                block,
-                x.reshape(shape).swapaxes(1, 2),
-                out=y.reshape(shape).swapaxes(1, 2),
-            )
+            shape = (lead, -1, size, cols // chunk, chunk)
+            products.append((block, x.reshape(shape).swapaxes(2, 3), y.reshape(shape).swapaxes(2, 3)))
         src, dst = dst, src
-    return src
+
+    def kick() -> np.ndarray:
+        for a, b, out in products:
+            np.matmul(a, b, out=out)
+        return src
+
+    return kick
 
 
 def rotate_x_all_sites(state: np.ndarray, n_sites: int, angle: float) -> np.ndarray:
@@ -215,7 +245,7 @@ def rotate_x_all_sites(state: np.ndarray, n_sites: int, angle: float) -> np.ndar
         return state
     quarter = _quarter_turns(n_sites)
     state *= quarter.conj()
-    out = _kick_in_frame(state, np.empty_like(state), n_sites, angle)
+    out = _bind_kick(state, np.empty_like(state), n_sites, angle)()
     return np.multiply(out, quarter, out=state)
 
 
@@ -457,13 +487,27 @@ class QuasienergySpectrum:
         gathered = block[group.images[:, group.reps]]
         sums = np.tensordot(group.characters, gathered, axes=1)
         out = np.empty(block.shape, dtype=complex)
+        for k, keep, ranks, norm in self._sector_indices:
+            components = sums[k, keep] / norm[:, np.newaxis]
+            out[ranks] = self.sector_vectors[keep[:, np.newaxis], ranks].conj().T @ components
+        return out.reshape(x.shape)
+
+    @functools.cached_property
+    def _sector_indices(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """For each sector k with levels: k, the indices of its kept
+        representatives (``group.stab_sums[k] > 0``), its ranks, and the
+        norms sqrt(|G| S_r) of its kept representatives.  Derived on
+        first use and kept with the spectrum, so overlaps() only gathers
+        and multiplies."""
+        group = self.group
+        indices = []
         for k in range(group.order):
             ranks = np.flatnonzero(self.labels == k)
-            keep = group.stab_sums[k] > 0
-            norm = np.sqrt(group.order * group.stab_sums[k, keep])
-            components = sums[k, keep] / norm[:, np.newaxis]
-            out[ranks] = self.sector_vectors[np.ix_(keep, ranks)].conj().T @ components
-        return out.reshape(x.shape)
+            if ranks.size:
+                keep = np.flatnonzero(group.stab_sums[k] > 0)
+                norm = np.sqrt(group.order * group.stab_sums[k, keep])
+                indices.append((k, keep, ranks, norm))
+        return indices
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:

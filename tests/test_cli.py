@@ -183,12 +183,40 @@ def test_scan_with_no_values_emits_header_only(tmp_path):
     assert rows == []
 
 
+def test_scan_across_stacks_matches_single_peaks(tmp_path):
+    """The 1x15 chain evolves at most two h values per stack, so five
+    values run as stacks of 2, 2 and 1; each peak still equals that of
+    its own single evolution."""
+    out = tmp_path / "scan.csv"
+    h_values = [0.6, 0.7, 0.8, 0.9, 1.0]
+    code = cli.main([
+        "scan", "--out", str(out), "--nx", "1", "--ny", "15",
+        "--h-values", ",".join(map(repr, h_values)), "--periods", "6",
+        "--init", "flip:3", "--axis", "0.4",
+    ])
+    assert code == 0
+    _, _, rows = read_csv(out)
+    assert [float(r[0]) for r in rows] == h_values
+
+    lattice = make_lattice(1, 15)
+    assert cli.SCAN_STACK_AMPLITUDES // lattice.dim == 2
+    state = prepare_state(lattice, one_flip(15, 3))
+    peaks = []
+    for v in h_values:
+        params = DriveParams.from_pi_over_t(j_x=0.05, j_y=0.6, h=v, period=2.0)
+        trace = evolve_stroboscopic(build_floquet(lattice, params), state, 6, axis=0.4)
+        peaks.append(power_spectrum(trace).subharmonic_amplitude)
+    assert np.array_equal([float(r[1]) for r in rows], peaks)
+
+
 @pytest.mark.parametrize("bad", [
     ["--init", "flip:5"], ["--init", "wobble"], ["--period", "-1"], ["--nx", "0"],
+    ["--periods", "9"], ["--periods", "1"],
 ])
 def test_scan_checks_task_without_values(tmp_path, bad):
-    """Lattice, drive and initial state are checked before the h loop,
-    so an empty scan still rejects a bad config."""
+    """Lattice, drive, initial state and a period count that gives a
+    power spectrum are checked before the h loop, so an empty scan still
+    rejects a bad config."""
     out = tmp_path / "empty.csv"
     code = cli.main(["scan", "--out", str(out), "--nx", "1", "--ny", "2",
                      "--h-values", "", *bad])
@@ -548,6 +576,19 @@ def test_large_corner_spectral_independent_of_blas_threads(tmp_path, lattice):
         "--chi", "16", "--window", "0.01", "--values", "0.8",
     ], "corner.csv")
     assert len(artifacts["1"]) == 1
+    assert artifacts["1"] == artifacts["2"]
+
+
+def test_scan_independent_of_blas_threads(tmp_path):
+    """A 1x14 scan evolves its three h values as one stack of 3 x 16384
+    amplitudes; the stacked kicks and row sums must not depend on the
+    thread count."""
+    artifacts = rows_at_blas_threads(tmp_path, [
+        "scan", "--nx", "1", "--ny", "14", "--jx", "0.05", "--jy", "0.6",
+        "--h-values", "0.7,0.85,1.0", "--periods", "20", "--init", f"tilt:{math.pi / 4!r}",
+        "--axis", repr(math.pi / 4),
+    ], "scan.csv")
+    assert len(artifacts["1"]) == 3
     assert artifacts["1"] == artifacts["2"]
 
 

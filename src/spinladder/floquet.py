@@ -29,12 +29,13 @@ spectrum reads U: the symmetry blocks are projected from U applied to
 the orbit representatives.
 
 Quasienergies are eps = -arg(lambda) / T folded into (-pi/T, pi/T].
-The spectrum is computed sector by sector: the global spin flip and the
-lattice translations commute with U and split it into small blocks
-before any dense factorization; the group's character table, sector
-partners and orbits are derived once, when its SymmetryGroup is built.
-Both halves of U are symmetric matrices, so sector -k is the
-time-reversed copy of sector k and only one of the two is factorized.
+The spectrum is computed sector by sector: the global spin flip and, per
+lattice direction, the one-site translation (periodic) or reflection
+(open) commute with U and split it into small blocks before any dense
+factorization; the group's character table, sector partners and orbits
+are derived once, when its SymmetryGroup is built.  Both halves of U are
+symmetric matrices, so sector -k is the time-reversed copy of sector k
+and only one of the two is factorized.
 Each block is diagonalized by two Hermitian eigensolves (numpy's eigh):
 one of the Hermitian part of the block turned by a fixed mirror angle,
 then one of the anti-Hermitian part within each cluster of levels that
@@ -327,9 +328,9 @@ class SymmetryGroup:
 
     The group is a product of cyclic factors of the given ``orders``:
     the global spin flip P = prod_k X_k (order 2) first, then each
-    accepted lattice translation.  Element e, numbered in C order over
-    the exponent tuple (e_1, e_2, ...), maps basis index b to
-    ``images[e, b]``.  The derived tables, all read-only:
+    accepted lattice translation or reflection.  Element e, numbered in
+    C order over the exponent tuple (e_1, e_2, ...), maps basis index b
+    to ``images[e, b]``.  The derived tables, all read-only:
 
     - ``characters[k, e]`` = exp(2 pi i sum_j k_j e_j / orders_j), with
       sectors numbered like the elements;
@@ -379,24 +380,25 @@ class SymmetryGroup:
 
 @functools.lru_cache(maxsize=8)
 def symmetry_group(lattice: Lattice) -> SymmetryGroup:
-    """The spin flip and the lattice translations as basis permutations.
+    """The spin flip and the lattice symmetries as basis permutations.
 
     P maps index b to b ^ (2**N - 1), which commutes with U because the
     kick is uniform and every Z_a Z_b phase is flip invariant.  A site
     permutation sigma maps b to sum_k bit_k(b) << sigma(k); the lattice
-    supplies only translations that preserve the bond set, so each one
-    commutes with both halves of the drive.  Cached per lattice: a scan
+    supplies only commuting translations and reflections that preserve
+    the bond set, so each one commutes with both halves of the drive
+    and the group is abelian.  Cached per lattice: a scan
     diagonalizes many drives on one lattice, and the group's tables are
     read-only.
     """
     dim = lattice.dim
     idx = np.arange(dim)
     generators = [(idx ^ (dim - 1), 2)]
-    for translation in lattice.translations():
+    for sites, order in lattice.symmetries():
         moved = np.zeros(dim, dtype=idx.dtype)
-        for k, target in enumerate(translation.sites):
+        for k, target in enumerate(sites):
             moved |= ((idx >> k) & 1) << target
-        generators.append((moved, translation.order))
+        generators.append((moved, order))
     images = idx[np.newaxis, :]
     for perm, order in generators:
         powers = [images]
@@ -565,9 +567,9 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     """Eigendecomposition of the propagator, one symmetry sector at a time.
 
     Sectors: the group of ``symmetry_group`` (global spin flip plus the
-    translations the lattice admits; nothing is configured) commutes
-    with U.  Each basis state belongs to an orbit, represented by its
-    smallest image r.  In sector k the state
+    translations and reflections the lattice admits; nothing is
+    configured) commutes with U.  Each basis state belongs to an orbit,
+    represented by its smallest image r.  In sector k the state
 
         |r, k> = sum_g conj(chi_k(g)) |g r> / sqrt(|G| S_r),
 
@@ -592,7 +594,8 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     are conj(zz_r * q) for sector k's eigenvectors q.  Only the
     self-conjugate sectors (k = -k) and the lower-numbered sector of each
     (k, -k) pair are factorized; the partner gets copies of the
-    eigenvalues and residuals.
+    eigenvalues and residuals.  On an open lattice every character is
+    +-1, so every sector is its own partner and nothing is copied.
 
     Each factorized block is diagonalized by _unitary_eig: two Hermitian
     eigensolves, which give an orthonormal basis even inside degenerate

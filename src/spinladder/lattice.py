@@ -54,17 +54,6 @@ class Bond(NamedTuple):
     axis: str
 
 
-class Translation(NamedTuple):
-    """One-site lattice translation as a site permutation.
-
-    ``sites[k]`` is the image of site ``k``; applying the translation
-    ``order`` times gives the identity.
-    """
-
-    sites: tuple[int, ...]
-    order: int
-
-
 @dataclass(frozen=True)
 class Lattice:
     """Immutable description of the ladder geometry.
@@ -128,33 +117,37 @@ class Lattice:
                     bonds.append(Bond(self.site_index(self.n_x, j), self.site_index(1, j), "x"))
         return bonds
 
-    def translations(self) -> tuple[Translation, ...]:
-        """One-site translations that map the bond set onto itself.
+    def symmetries(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Site permutations that map the bond set onto itself, as
+        ``(sites, order)`` pairs: ``sites[k]`` is the image of site ``k``.
 
-        Each periodic direction with more than one site contributes its
-        translation (x first), provided it maps the multiset of bonds,
-        each with its axis, onto itself.  The comparison runs on
-        unordered bonds, so doubled wrap bonds (``dedup=False``) and
-        2-site rings are covered by the same test.
+        Each direction with more than one site (x first) offers its
+        one-site translation (order n) when periodic and its reflection
+        x -> n + 1 - x (order 2) when open, kept when it maps the multiset
+        of bonds, each with its axis, onto itself.  The comparison runs on
+        unordered bonds, so doubled wrap bonds (``dedup=False``) and 2-site
+        rings are covered by the same test.  Permutations of different
+        directions move different coordinates, so they commute.
         """
 
         def key(bonds):
             return sorted((min(a, b), max(a, b), axis) for a, b, axis in bonds)
 
-        n, n_y = self.n_sites, self.n_y
-        candidates = []
-        if self.bc_x == "periodic" and self.n_x > 1:
-            # column i -> i + 1 is a shift of the flat index by one column
-            candidates.append((self.n_x, tuple((k + n_y) % n for k in range(n))))
-        if self.bc_y == "periodic" and n_y > 1:
-            candidates.append((n_y, tuple(k - k % n_y + (k + 1) % n_y for k in range(n))))
+        def step(x, n, bc):
+            return (x + 1) % n if bc == "periodic" else n - 1 - x
+
+        n_x, n_y, bc_x, bc_y = self.n_x, self.n_y, self.bc_x, self.bc_y
+        coords = [divmod(k, n_y) for k in range(self.n_sites)]
+        candidates = [
+            (n_x, bc_x, tuple(step(i, n_x, bc_x) * n_y + j for i, j in coords)),
+            (n_y, bc_y, tuple(i * n_y + step(j, n_y, bc_y) for i, j in coords)),
+        ]
         reference = key(self.bonds)
-        out = []
-        for order, sites in candidates:
-            moved = [(sites[a], sites[b], axis) for a, b, axis in self.bonds]
-            if key(moved) == reference:
-                out.append(Translation(sites=sites, order=order))
-        return tuple(out)
+        return tuple(
+            (sites, n if bc == "periodic" else 2)
+            for n, bc, sites in candidates
+            if n > 1 and key((sites[a], sites[b], axis) for a, b, axis in self.bonds) == reference
+        )
 
 
 def make_lattice(

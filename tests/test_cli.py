@@ -554,23 +554,30 @@ def test_corner_spectral_independent_of_blas_threads(tmp_path):
 
 
 def test_open_spectrum_independent_of_blas_threads(tmp_path):
-    """The open 1x10 chain splits into two blocks of 512 states, large
-    enough for threaded LAPACK; diagonalize runs it on one thread."""
-    artifacts = rows_at_blas_threads(tmp_path, [
-        "spectrum", "--nx", "1", "--ny", "10", "--jx", "0.05", "--jy", "0.6", "--h", "0.8",
-    ], "spectrum.csv")
-    assert len(artifacts["1"]) == 1024
-    assert artifacts["1"] == artifacts["2"]
+    """The open 1x10 chain splits into four blocks of 240 to 272 states
+    and the open 6x2 ladder into eight of 496 to 560, large enough for
+    threaded LAPACK; diagonalize runs them on one thread."""
+    for n_x, n_y in ((1, 10), (6, 2)):
+        workdir = tmp_path / f"{n_x}x{n_y}"
+        workdir.mkdir()
+        artifacts = rows_at_blas_threads(workdir, [
+            "spectrum", "--nx", str(n_x), "--ny", str(n_y),
+            "--jx", "0.05", "--jy", "0.6", "--h", "0.8",
+        ], "spectrum.csv")
+        assert len(artifacts["1"]) == 2 ** (n_x * n_y)
+        assert artifacts["1"] == artifacts["2"]
 
 
 @pytest.mark.parametrize("lattice", [
     ["--nx", "5", "--ny", "2"],
     ["--nx", "6", "--ny", "2", "--bc-x", "periodic", "--bc-y", "periodic", "--dedup", "false"],
+    ["--nx", "6", "--ny", "2"],
 ])
 def test_large_corner_spectral_independent_of_blas_threads(tmp_path, lattice):
-    """Blocks of 512 states (open 5x2) and products of about 170 x 170 x
-    16 per sector (6x2 torus) would both reach a second BLAS thread;
-    the corner weights must not move with it."""
+    """Blocks of 496 to 560 states (open 6x2) and products of about
+    170 x 170 x 16 per sector (6x2 torus) would both reach a second BLAS
+    thread; the corner weights must not move with it.  The open 5x2,
+    with blocks of 120 to 152, stays as the smaller open case."""
     artifacts = rows_at_blas_threads(tmp_path, [
         "corner-spectral", *lattice, "--jx", "0.05", "--jy", "0.6",
         "--chi", "16", "--window", "0.01", "--values", "0.8",

@@ -269,6 +269,16 @@ def test_diagonalize_eigenrelation():
     np.testing.assert_allclose(gram, np.eye(lat.dim), atol=1e-12)
 
 
+#: (bc_x, bc_y) by the boundary name in test ids; on a cylinder the group
+#: holds a translation and a reflection
+BOUNDARIES = {
+    "open": ("open", "open"),
+    "periodic": ("periodic", "periodic"),
+    "periodic-open": ("periodic", "open"),
+    "open-periodic": ("open", "periodic"),
+}
+
+
 def dense_schur_quasienergies(op):
     """Reference spectrum: one complex Schur of the full dense propagator."""
     t_mat, _ = scipy.linalg.schur(np.asarray(op.dense), output="complex")
@@ -277,13 +287,23 @@ def dense_schur_quasienergies(op):
 
 
 @pytest.mark.parametrize(
-    "bc,dedup", [("open", True), ("periodic", True), ("periodic", False)]
-)
-@pytest.mark.parametrize(
-    "n_x,n_y", [(2, 2), (3, 2), (4, 2), (5, 2), (1, 4), (1, 6), (1, 8), (1, 10)]
+    "n_x,n_y,bc,dedup",
+    [
+        *(
+            (n_x, n_y, bc, dedup)
+            for n_x, n_y in [(2, 2), (3, 2), (4, 2), (5, 2), (1, 4), (1, 6), (1, 8), (1, 10)]
+            for bc, dedup in [("open", True), ("periodic", True), ("periodic", False)]
+        ),
+        *(
+            (n_x, 2, bc, False)
+            for n_x in (2, 3, 4, 5)
+            for bc in ("periodic-open", "open-periodic")
+        ),
+    ],
 )
 def test_sector_spectrum_matches_dense_schur(n_x, n_y, bc, dedup):
-    lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc, dedup_coincident_bonds=dedup)
+    bc_x, bc_y = BOUNDARIES[bc]
+    lat = make_lattice(n_x, n_y, bc_x=bc_x, bc_y=bc_y, dedup_coincident_bonds=dedup)
     params = DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0)
     op = build_floquet(lat, params, materialize_dense=True)
     spec = diagonalize(op)
@@ -292,8 +312,12 @@ def test_sector_spectrum_matches_dense_schur(n_x, n_y, bc, dedup):
     for field in ("quasienergies", "eigenvectors", "eigenvalues", "residuals"):
         assert np.array_equal(getattr(lazy, field), getattr(spec, field))
 
-    # spin flip only on open lattices; one translation per periodic site
-    expected_order = 2 * (lat.n_sites if bc == "periodic" else 1)
+    # the spin flip, then per direction of more than one site its
+    # translation (order n) when periodic or its reflection (order 2) when open
+    expected_order = 2
+    for n, bc_dir in ((n_x, bc_x), (n_y, bc_y)):
+        if n > 1:
+            expected_order *= n if bc_dir == "periodic" else 2
     assert symmetry_group(lat).order == expected_order
     np.testing.assert_allclose(
         spec.quasienergies, dense_schur_quasienergies(op), rtol=0, atol=1e-12
@@ -374,13 +398,16 @@ def test_unitary_eig_on_planted_spectra(alpha, seed):
         (5, 2, "open", 0.8),
         (1, 10, "open", 0.3),
         (1, 10, "open", 0.8),
+        (6, 2, "open", 0.3),
+        (6, 2, "open", 0.8),
+        (1, 12, "open", 0.8),
         (6, 2, "periodic", 0.8),
     ],
 )
 def test_residuals_keep_margin_to_guard(n_x, n_y, bc, h):
     """The cluster gap keeps every residual well inside the guard on
-    the largest blocks: a gap set too small would show here before it
-    trips the guard."""
+    the largest blocks (496 to 1056 states on the open 6x2 and 1x12): a
+    gap set too small would show here before it trips the guard."""
     lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc, dedup_coincident_bonds=False)
     spec = diagonalize(build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, h, 2.0)))
     assert spec.residuals.max() <= RESIDUAL_TOL / 10
@@ -388,15 +415,23 @@ def test_residuals_keep_margin_to_guard(n_x, n_y, bc, h):
 
 @pytest.mark.parametrize(
     "n_x,n_y,bc,dedup",
-    [(4, 2, "periodic", False), (3, 2, "periodic", True), (1, 8, "periodic", True), (3, 2, "open", True)],
+    [
+        (4, 2, "periodic", False), (3, 2, "periodic", True), (1, 8, "periodic", True),
+        (3, 2, "open", True), (4, 2, "periodic-open", False), (3, 2, "open-periodic", False),
+    ],
 )
 def test_symmetry_group_tables_match_brute_force(n_x, n_y, bc, dedup):
     """The tables a SymmetryGroup derives at construction, against
     per-index loops over the images; every table is read-only, since one
-    group serves every spectrum built from it."""
-    lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc, dedup_coincident_bonds=dedup)
+    group serves every spectrum built from it.  The characters hold only
+    for an abelian group, so every two images must commute."""
+    bc_x, bc_y = BOUNDARIES[bc]
+    lat = make_lattice(n_x, n_y, bc_x=bc_x, bc_y=bc_y, dedup_coincident_bonds=dedup)
     group = symmetry_group(lat)
     images = group.images
+    # composed[e, f, b] = images[e, images[f, b]]
+    composed = images[:, images]
+    assert np.array_equal(composed, composed.transpose(1, 0, 2))
     for b in range(lat.dim):
         assert images[group.carrier[b], group.reps[group.orbit[b]]] == b
     for a, rep in enumerate(group.reps):
@@ -460,7 +495,8 @@ def test_eigenvectors_built_once_and_readonly():
 
 
 @pytest.mark.parametrize(
-    "n_x,n_y,bc", [(3, 2, "open"), (1, 8, "open"), (4, 2, "periodic"), (1, 8, "periodic")]
+    "n_x,n_y,bc",
+    [(3, 2, "open"), (1, 8, "open"), (4, 2, "periodic"), (1, 8, "periodic"), (3, 2, "periodic-open")],
 )
 def test_vectors_and_overlaps_match_eigenvectors(n_x, n_y, bc):
     """vectors() embeds columns of ``eigenvectors`` bit for bit, and
@@ -468,12 +504,15 @@ def test_vectors_and_overlaps_match_eigenvectors(n_x, n_y, bc):
     embedded vector transforms under the group with its sector's
     characters, and its sector vector vanishes on the representatives
     whose state does not exist in that sector."""
-    lat = make_lattice(n_x, n_y, bc_x=bc, bc_y=bc, dedup_coincident_bonds=False)
+    bc_x, bc_y = BOUNDARIES[bc]
+    lat = make_lattice(n_x, n_y, bc_x=bc_x, bc_y=bc_y, dedup_coincident_bonds=False)
     spec = diagonalize(build_floquet(lat, DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0)))
     rng = np.random.default_rng(5)
     group = spec.group
     copied = spec.labels > group.partners[spec.labels]
-    assert copied.any() == (bc == "periodic")
+    # elements of order 2 have characters +-1, so only translations of three
+    # or more sites copy sectors
+    assert copied.any() == (bc != "open")
     firsts = [np.flatnonzero(spec.labels == k)[0] for k in np.unique(spec.labels[copied])]
     ranks = np.concatenate([rng.choice(spec.dim, 6, replace=False), firsts]).astype(np.intp)
     block = spec.vectors(ranks)
@@ -493,9 +532,9 @@ def test_vectors_and_overlaps_match_eigenvectors(n_x, n_y, bc):
         spec.overlaps(states[1:])
 
     # (rank, representative) pairs whose state does not exist in the rank's
-    # sector; the spin flip alone fixes no basis state
+    # sector: translations fix periodic states and reflections palindromic ones
     absent = group.stab_sums[spec.labels] == 0
-    assert absent.any() == (bc == "periodic")
+    assert absent.any()
     assert np.all(spec.sector_vectors.T[absent] == 0)
     for n in ranks:
         vec = spec.vectors([n])[:, 0]

@@ -224,7 +224,7 @@ def test_spectral_functions_match_brute_force():
 
 @pytest.mark.parametrize("n_x,n_y", [(2, 3), (1, 8)])
 def test_spectral_functions_every_state_match_brute_force(n_x, n_y):
-    """Open lattices (spin-flip sectors only), every state sampled."""
+    """Open lattices (spin flip and reflections), every state sampled."""
     lat = make_lattice(n_x, n_y)
     spec = diagonalize(build_floquet(lat, DriveParams(j_x=0.23, j_y=0.71, h=0.64, period=2.0)))
     assert_matches_brute_force(spec, lat, SpectralFunctionConfig(chi=lat.dim, window=0.05))
@@ -286,6 +286,19 @@ def test_spectral_functions_independent_of_cluster_basis(h):
         t = corner_spectral_functions(rotate_clusters(spec, seed), lat, config)
         for name in ("s0_1", "s0_2", "spi_1", "spi_2"):
             assert getattr(t, name) == pytest.approx(getattr(s, name), abs=1e-12)
+
+
+def test_open_corner_weights_equal_under_reflection():
+    """Together the two reflections of the open 5x2 ladder map corner
+    (1, 1) onto (5, 2), so both corners carry the same weights.  Levels 7.4e-10 apart
+    lie in different reflection sectors, so no rounding mixes them; a
+    spin-flip block of 512 states mixed them and split s0 by 4.3e-9."""
+    lat = make_lattice(5, 2)
+    spec = diagonalize(build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.1, 2.0)))
+    s = corner_spectral_functions(spec, lat, SpectralFunctionConfig(chi=16, window=0.01))
+    assert s.s0_1 > 0.4
+    assert s.s0_2 == pytest.approx(s.s0_1, abs=1e-12)
+    assert s.spi_2 == pytest.approx(s.spi_1, abs=1e-12)
 
 
 def test_level_clusters_join_across_zone_edge():

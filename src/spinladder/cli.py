@@ -315,7 +315,10 @@ def emit(
             "command": command,
             "config": config,
             "columns": list(columns),
-            "rows": [list(row) for row in rows],
+            # JSON has no NaN or Infinity, so a non-finite float is written as null
+            "rows": [
+                [None if isinstance(c, float) and not math.isfinite(c) else c for c in row] for row in rows
+            ],
         }
         if comments:
             document["notes"] = list(comments)

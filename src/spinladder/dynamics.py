@@ -195,7 +195,7 @@ def evolve_scan(
     by +-1 or +-i is exact, so u is the public per-period state up to an
     exact phase per amplitude and |u|**2 = |v|**2 bit for bit.  A row at
     h = 0 takes identity blocks, which leave every amplitude's value as
-    it is; the kick is skipped only when every row has h = 0.
+    it is.
 
     All buffers are allocated once per evolution: u, the kernel's
     scratch, a copy of u for a tilted measurement and the float weights,
@@ -230,12 +230,7 @@ def evolve_scan(
     np.multiply(v, _quarter_turns(n).conj(), out=u)
     buffers = (u, np.empty_like(u))
     weights = np.empty(u.shape)
-    # sin(theta) == 0 only at theta == 0, where the kick is the identity
-    kicks = (
-        [_bind_kick(buffers[p], buffers[1 - p], n, angles) for p in (0, 1)]
-        if any(math.sin(theta) != 0.0 for theta in angles)
-        else None
-    )
+    kicks = [_bind_kick(buffers[p], buffers[1 - p], n, angles) for p in (0, 1)]
     if axis != 0.0:
         copy = np.empty_like(u)
         tilts = [_bind_kick(copy, buffers[1 - p], n, 0.5 * axis) for p in (0, 1)]
@@ -253,7 +248,7 @@ def evolve_scan(
     values[:, 0] = measure(p)[0]
     for step in range(1, periods + 1):
         np.multiply(zz, buffers[p], out=buffers[p])
-        if kicks is not None and kicks[p]() is not buffers[p]:
+        if kicks[p]() is not buffers[p]:
             p = 1 - p
         values[:, step], norms_sq[:, step - 1] = measure(p)
     drift = np.abs(np.sqrt(norms_sq) - 1.0)

@@ -239,11 +239,9 @@ def rotate_x_all_sites(state: np.ndarray, n_sites: int, angle: float) -> np.ndar
     exp(i angle Y) is real.  So the state is multiplied by the phase
     conj(i**popcount(b)) of prod_k S_k^dagger (exact: every factor is +-1
     or +-i), the real kick kernel runs on a fresh scratch buffer, and the
-    phase i**popcount(b) is multiplied back.
+    phase i**popcount(b) is multiplied back.  At angle 0 the kernel's
+    blocks are identities, so every amplitude keeps its value.
     """
-    if math.sin(angle) == 0.0:
-        # only angle 0 gets here: sin of a nonzero float is never 0.0
-        return state
     quarter = _quarter_turns(n_sites)
     state *= quarter.conj()
     out = _bind_kick(state, np.empty_like(state), n_sites, angle)()
@@ -342,7 +340,12 @@ class SymmetryGroup:
     - ``stab_sums[k, a]``, the sum of the characters of sector k over the
       stabilizer of reps[a]: the stabilizer size when the character is
       trivial on it and 0 otherwise; row 0, the trivial sector, holds
-      the stabilizer sizes.
+      the stabilizer sizes;
+    - ``kept[k]``, the numbers a, ascending, of the representatives
+      whose state |r_a, k> exists (``stab_sums[k, a] > 0``): the one
+      place that decides which states a sector has, read by diagonalize
+      and QuasienergySpectrum.overlaps.  A sector whose ``kept`` is
+      empty has no levels, such as sector 1 of the 1x2 and 2x1 lattices.
     """
 
     orders: tuple[int, ...]
@@ -353,6 +356,7 @@ class SymmetryGroup:
     orbit: np.ndarray = field(init=False, repr=False, compare=False)
     carrier: np.ndarray = field(init=False, repr=False, compare=False)
     stab_sums: np.ndarray = field(init=False, repr=False, compare=False)
+    kept: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # sectors and elements share one numbering of the exponent tuples
@@ -372,6 +376,10 @@ class SymmetryGroup:
         for name, arr in tables.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        kept = tuple(np.flatnonzero(row > 0) for row in stab_sums)
+        for arr in kept:
+            arr.setflags(write=False)
+        object.__setattr__(self, "kept", kept)
 
     @property
     def order(self) -> int:
@@ -419,7 +427,7 @@ class QuasienergySpectrum:
     Column n of the n_reps x D ``sector_vectors`` is eigenvector n in
     the basis |r_a, labels[n]> of the orbit representatives r_a
     (``group.reps``), zero on the representatives whose state does not
-    exist in that sector (``group.stab_sums[labels[n], a] == 0``).
+    exist in that sector (a not in ``group.kept[labels[n]]``).
     vectors() embeds chosen eigenvectors in the full basis and
     overlaps(), its adjoint, projects full-basis states onto all of
     them, both from the group's character and orbit tables and without
@@ -472,8 +480,8 @@ class QuasienergySpectrum:
         are character sums: the character table times x gathered at the
         images of the representatives, the same sum that diagonalize
         projects its blocks with.  The conjugate transpose of each
-        sector's columns of ``sector_vectors`` then turns them into
-        eigenbasis coefficients.  The sector bases are orthonormal and
+        sector's columns of ``sector_vectors``, on the rows of its
+        ``group.kept``, then turns them into eigenbasis coefficients.  The sector bases are orthonormal and
         jointly complete, so for a unitary V this is V^H x.  The
         products run on one BLAS thread, so the overlaps do not depend
         on the thread count.
@@ -489,27 +497,12 @@ class QuasienergySpectrum:
         gathered = block[group.images[:, group.reps]]
         sums = np.tensordot(group.characters, gathered, axes=1)
         out = np.empty(block.shape, dtype=complex)
-        for k, keep, ranks, norm in self._sector_indices:
+        for k, keep in enumerate(group.kept):
+            ranks = np.flatnonzero(self.labels == k)
+            norm = np.sqrt(group.order * group.stab_sums[k, keep])
             components = sums[k, keep] / norm[:, np.newaxis]
             out[ranks] = self.sector_vectors[keep[:, np.newaxis], ranks].conj().T @ components
         return out.reshape(x.shape)
-
-    @functools.cached_property
-    def _sector_indices(self) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        """For each sector k with levels: k, the indices of its kept
-        representatives (``group.stab_sums[k] > 0``), its ranks, and the
-        norms sqrt(|G| S_r) of its kept representatives.  Derived on
-        first use and kept with the spectrum, so overlaps() only gathers
-        and multiplies."""
-        group = self.group
-        indices = []
-        for k in range(group.order):
-            ranks = np.flatnonzero(self.labels == k)
-            if ranks.size:
-                keep = np.flatnonzero(group.stab_sums[k] > 0)
-                norm = np.sqrt(group.order * group.stab_sums[k, keep])
-                indices.append((k, keep, ranks, norm))
-        return indices
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -574,7 +567,8 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
         |r, k> = sum_g conj(chi_k(g)) |g r> / sqrt(|G| S_r),
 
     with stabilizer sum S_r = sum over g fixing r of chi_k(g), exists
-    when S_r != 0.  g commutes with U, so the block is
+    when S_r != 0, for the representatives of ``group.kept[k]``; a
+    sector without them has no block.  g commutes with U, so the block is
 
         U_k[a, b] = <r_a, k| U |r_b, k>
                   = sum_g chi_k(g) U[g r_a, r_b] / sqrt(S_a S_b).
@@ -621,7 +615,9 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     check_site_cap(op.lattice.n_sites, DENSE_SITE_CAP, "diagonalize")
     group = symmetry_group(op.lattice)
     reps, stab_sums, partners = group.reps, group.stab_sums, group.partners
-    factored = np.flatnonzero(np.arange(group.order) <= partners)
+    # every sector with states, and the ones among them that are factorized
+    sectors = [k for k, keep in enumerate(group.kept) if keep.size]
+    factored = [k for k in sectors if k <= partners[k]]
 
     basis = np.zeros((reps.size, op.lattice.dim), dtype=complex)
     basis[np.arange(reps.size), reps] = 1.0
@@ -634,9 +630,7 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
 
     factors = {}  # sector label: (eigenvectors, eigenvalues, residuals)
     for i, k in enumerate(factored):
-        keep = stab_sums[k] > 0
-        if not keep.any():
-            continue
+        keep = group.kept[k]
         norm = np.sqrt(stab_sums[k, keep])
         block = blocks[:, i].T[np.ix_(keep, keep)] / np.outer(norm, norm)
         lam, q_mat, residuals = _unitary_eig(block)
@@ -654,23 +648,22 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
         factors[k] = (q_mat, lam, residuals)
     del blocks
 
-    # every sector with levels, ascending, and the factored sector it copies
-    source = dict(sorted({int(p): int(k) for k in factors for p in (k, partners[k])}.items()))
-    sizes = [factors[k][1].size for k in source.values()]
+    # sector k copies the levels of the factored one of k and -k
+    sizes = [group.kept[k].size for k in sectors]
     period = op.params.period
-    lam = np.concatenate([factors[k][1] for k in source.values()])
-    residuals = np.concatenate([factors[k][2] for k in source.values()])
+    lam = np.concatenate([factors[min(k, partners[k])][1] for k in sectors])
+    residuals = np.concatenate([factors[min(k, partners[k])][2] for k in sectors])
     eps = fold_quasienergy(-np.angle(lam) / period, period)
     order = np.argsort(eps, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    labels = np.repeat(list(source), sizes)[order]
-    ranks = dict(zip(source, np.split(rank, np.cumsum(sizes)[:-1])))
+    labels = np.repeat(sectors, sizes)[order]
+    ranks = dict(zip(sectors, np.split(rank, np.cumsum(sizes)[:-1])))
     sector_vectors = np.zeros((reps.size, order.size), dtype=complex)
-    for k in list(factors):
+    for k in factored:
         # each q is dropped once its sector and the partner's copy are written
         q_mat = factors.pop(k)[0]
-        keep = stab_sums[k] > 0
+        keep = group.kept[k]
         sector_vectors[np.ix_(keep, ranks[k])] = q_mat
         if partners[k] != k:
             zz = op.zz_phase[reps[keep], np.newaxis]

@@ -335,20 +335,27 @@ def test_corner_spectral_row_matches_module(tmp_path):
 
 
 def test_json_format_round_trips(tmp_path):
+    """The document parses as strict JSON: at h = 1e-13 the transfer
+    matrix is undefined and its eigenvalues, nan in CSV, are null."""
     out = tmp_path / "doc.json"
     code = cli.main([
         "phase1d", "--out", str(out), "--format", "json",
-        "--h-values", "1.2", "--j-values", "0.7",
+        "--h-values", "1.2,1e-13", "--j-values", "0.7",
     ])
     assert code == 0
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
     with open(out) as handle:
-        document = json.load(handle)
+        document = json.load(handle, parse_constant=refuse)
     assert document["command"] == "phase1d"
     assert document["columns"] == ["h", "j", "label", "e_minus", "e_plus"]
     assert document["rows"][0][2] == "pi-SG"
+    assert document["rows"][1] == [1e-13, 0.7, "0-SG", None, None]
     command, config = cli.read_emitted_config(str(out))
     assert command == "phase1d"
-    assert config["task"]["h_values"] == [1.2]
+    assert config["task"]["h_values"] == [1.2, 1e-13]
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -202,7 +202,7 @@ def test_evolution_matches_per_period_rebuild_bit_for_bit(lat):
     """The evolution runs in the kick's real frame on its own buffers;
     its trace and norm drift must equal the public per-period rebuild
     exactly.  Odd N exercises the global i**-N of the kernel, h = 0 the
-    skipped kick, raw h = pi the kick angle pi/2."""
+    identity blocks, raw h = pi the kick angle pi/2."""
     n = lat.n_sites
     periods = 6 if n >= 12 else 24
     state = prepare_state(lat, uniform_tilt(n, math.pi / 4))
@@ -225,8 +225,8 @@ def test_scan_rows_equal_single_evolutions_bit_for_bit(lat):
     evolution runs, with its own kick angle, so its trace and norm drift
     equal evolve_stroboscopic of its operator exactly.  The chains give
     one to four groups of sites, a narrower last group at N % 4 != 0;
-    h = 0 rows take identity blocks inside a stack and skip the kick in
-    a stack of their own, raw h = pi is the kick angle pi/2."""
+    h = 0 rows take identity blocks, inside a stack and in a stack of
+    their own, raw h = pi is the kick angle pi/2."""
     n = lat.n_sites
     periods = 6 if n >= 12 else 24
     state = prepare_state(lat, uniform_tilt(n, math.pi / 4))

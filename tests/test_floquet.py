@@ -136,7 +136,7 @@ def test_matrix_free_matches_dense():
     """op.apply against the kron-built U, on a periodic ladder and on
     chains of one to thirteen sites: one to four kron blocks, with and
     without a narrower last one, at kick angles pi/2, a generic value
-    and multiples of pi (h = 0 takes the early return).  From 12 sites
+    and multiples of pi (h = 0 runs the kernel with identity blocks).  From 12 sites
     the lowest group is a stack of gemms over rows (two at 12, eight at
     14); at 15 and 16 sites the upper group also splits its columns into
     four and sixteen gemms.  Past ten sites U (1 GiB at 13) is read only
@@ -177,7 +177,7 @@ def test_stacked_apply_rows_match_single_applies(n_sites, h):
     it does alone: below D = 2048 the lowest group's gemm covers a whole
     vector, above it the vector is cut into several gemms, and an odd m
     must cut neither across vectors.  A Fortran-ordered stack gives the
-    same rows.  At h = 0 only the zz multiply runs."""
+    same rows.  At h = 0 the kick runs with identity blocks."""
     lat = make_lattice(1, n_sites)
     op = build_floquet(lat, DriveParams(j_x=0.4, j_y=0.7, h=h, period=2.0))
     rng = np.random.default_rng(n_sites)
@@ -291,7 +291,9 @@ def dense_schur_quasienergies(op):
     [
         *(
             (n_x, n_y, bc, dedup)
-            for n_x, n_y in [(2, 2), (3, 2), (4, 2), (5, 2), (1, 4), (1, 6), (1, 8), (1, 10)]
+            for n_x, n_y in [
+                (1, 2), (2, 1), (2, 2), (3, 2), (4, 2), (5, 2), (1, 4), (1, 6), (1, 8), (1, 10)
+            ]
             for bc, dedup in [("open", True), ("periodic", True), ("periodic", False)]
         ),
         *(
@@ -418,13 +420,16 @@ def test_residuals_keep_margin_to_guard(n_x, n_y, bc, h):
     [
         (4, 2, "periodic", False), (3, 2, "periodic", True), (1, 8, "periodic", True),
         (3, 2, "open", True), (4, 2, "periodic-open", False), (3, 2, "open-periodic", False),
+        (1, 2, "periodic", False),
     ],
 )
 def test_symmetry_group_tables_match_brute_force(n_x, n_y, bc, dedup):
     """The tables a SymmetryGroup derives at construction, against
     per-index loops over the images; every table is read-only, since one
     group serves every spectrum built from it.  The characters hold only
-    for an abelian group, so every two images must commute."""
+    for an abelian group, so every two images must commute.  ``kept``
+    lists the representatives whose sector state is not the zero vector,
+    and on the 1x2 lattice one sector has none."""
     bc_x, bc_y = BOUNDARIES[bc]
     lat = make_lattice(n_x, n_y, bc_x=bc_x, bc_y=bc_y, dedup_coincident_bonds=dedup)
     group = symmetry_group(lat)
@@ -441,10 +446,14 @@ def test_symmetry_group_tables_match_brute_force(n_x, n_y, bc, dedup):
         assert group.stab_sums[0, a] == sum(images[e, rep] == rep for e in range(group.order))
     chars = group.characters
     np.testing.assert_allclose(chars[group.partners], chars.conj(), rtol=0, atol=1e-14)
-    for name in ("characters", "partners", "reps", "orbit", "carrier", "stab_sums"):
-        table = getattr(group, name)
+    assert len(group.kept) == group.order
+    for label, kept in enumerate(group.kept):
+        assert np.array_equal(kept, np.flatnonzero(_sector_basis(group, label)[1]))
+    assert any(kept.size == 0 for kept in group.kept) == (lat.dim == 4)
+    names = ("characters", "partners", "reps", "orbit", "carrier", "stab_sums")
+    for table in [getattr(group, name) for name in names] + list(group.kept):
         with pytest.raises(ValueError):
-            table[0] = table[0]
+            table[...] = table
 
 
 def _sector_basis(group, label):
@@ -474,7 +483,7 @@ def test_copied_sectors_match_their_own_schur(n_x, n_y, h):
     for label in copied:
         basis, keep = _sector_basis(spec.group, label)
         ranks = np.flatnonzero(spec.labels == label)
-        assert np.array_equal(keep, spec.group.stab_sums[label] > 0)
+        assert np.array_equal(np.flatnonzero(keep), spec.group.kept[label])
         assert keep.sum() == ranks.size
         t_mat, _ = scipy.linalg.schur(basis.conj().T @ op.dense @ basis, output="complex")
         own = np.diag(t_mat)

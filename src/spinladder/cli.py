@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
 from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin
 
 from .dynamics import (
@@ -302,7 +301,8 @@ def emit(
     rows: Sequence[Sequence[Any]],
     comments: Sequence[str] = (),
 ) -> None:
-    """Write one artifact atomically (temp file in place, then rename)."""
+    """Write one artifact atomically (temp file in place, then rename),
+    with the mode open() gives a new file under the current umask."""
     config_json = json.dumps(config, sort_keys=True)
     if fmt == "csv":
         lines = [f"# spinladder {command}", f"# config: {config_json}"]
@@ -328,6 +328,10 @@ def emit(
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".spinladder-")
     try:
         with os.fdopen(fd, "w") as handle:
+            # mkstemp makes the file 0600 whatever the umask
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(payload)
         os.replace(tmp_path, path)
     except BaseException:
@@ -347,6 +351,8 @@ def read_emitted_config(path: str) -> tuple[str, dict]:
         if first.startswith("{"):
             handle.seek(0)
             document = json.load(handle)
+            if "command" not in document or "config" not in document:
+                raise ConfigError(f"{path} does not carry a spinladder command and config")
             return document["command"], document["config"]
         second = handle.readline()
     if not first.startswith("# spinladder ") or not second.startswith("# config: "):
@@ -399,52 +405,44 @@ def cmd_spacing_table(config: dict) -> _Table:
     return ["size", "min_dev", "max_dev"], rows, notes
 
 
-def _trace_runner(
-    config: dict, spectrum: bool = False
-) -> Callable[[Sequence[float]], list[MagnetizationTrace]]:
-    """Resolve a dynamics task and prepare its state; return its evolution.
+def _traces(
+    config: dict, h_values: Sequence[float], spectrum: bool = False
+) -> list[MagnetizationTrace]:
+    """Evolve a dynamics task's state at each kick field h, in the
+    block's units; return one trace per h.
 
-    The whole task is checked here, before any evolution, so a bad
-    config fails even when a scan has no values; with ``spectrum`` the
-    period count must also give a power spectrum.  The returned function
-    evolves the state at each given kick field h, in the block's units,
-    in stacks of at most max(1, SCAN_STACK_AMPLITUDES // D) h values,
-    and returns one trace per h.  The zz phase depends on the lattice,
-    j_x, j_y and T alone, so every point shares the block's.
+    The whole task is checked before any evolution, so a bad config
+    fails even when a scan has no values; with ``spectrum`` the period
+    count must also give a power spectrum.  Each h is converted to raw
+    units like the block's own, and stacks of at most
+    max(1, SCAN_STACK_AMPLITUDES // D) of them evolve under one operator.
     """
     lattice = resolve_lattice(config)
-    base = build_floquet(lattice, resolve_drive(config))
+    op = build_floquet(lattice, resolve_drive(config))
     task = config["task"]
     periods = int(task["periods"])
     if spectrum:
         check_spectrum_periods(periods)
     axis = float(task["axis"])
     state = prepare_state(lattice, parse_init(task["init"]))
+    fields = [resolve_drive(config, h=h).h for h in h_values]
     stack = max(1, SCAN_STACK_AMPLITUDES // lattice.dim)
-
-    def run(h_values: Sequence[float]) -> list[MagnetizationTrace]:
-        traces = []
-        for start in range(0, len(h_values), stack):
-            ops = [
-                replace(base, params=resolve_drive(config, h=h))
-                for h in h_values[start:start + stack]
-            ]
-            traces.extend(evolve_scan(ops, state, periods, axis=axis))
-        return traces
-
-    return run
+    traces = []
+    for start in range(0, len(fields), stack):
+        traces.extend(evolve_scan(op, fields[start:start + stack], state, periods, axis=axis))
+    return traces
 
 
 def cmd_dynamics(config: dict) -> _Table:
     """Stroboscopic magnetization trace: period index, total magnetization."""
-    (trace,) = _trace_runner(config)([config["drive"]["h"]])
+    (trace,) = _traces(config, [config["drive"]["h"]])
     rows = [[int(n), float(m)] for n, m in zip(trace.times, trace.values)]
     return ["n", "magnetization"], rows, []
 
 
 def cmd_power(config: dict) -> _Table:
     """Discrete power spectrum of the stroboscopic trace."""
-    (trace,) = _trace_runner(config, spectrum=True)([config["drive"]["h"]])
+    (trace,) = _traces(config, [config["drive"]["h"]], spectrum=True)
     spectrum = power_spectrum(trace)
     rows = [
         [float(w), float(m)]
@@ -456,7 +454,7 @@ def cmd_power(config: dict) -> _Table:
 def cmd_scan(config: dict) -> _Table:
     """Subharmonic peak height versus kick field h on one lattice."""
     h_values = config["task"]["h_values"]
-    traces = _trace_runner(config, spectrum=True)(h_values)
+    traces = _traces(config, h_values, spectrum=True)
     rows = [
         [float(v), power_spectrum(trace).subharmonic_amplitude]
         for v, trace in zip(h_values, traces)

@@ -7,21 +7,18 @@ the state so that the tilted axis becomes the z axis, then accumulates
 the diagonal sum of sigma_z expectation values; this reuses the kick
 kernel instead of building any operator matrix.
 
-evolve_scan evolves one state under several drives that differ only in
-the kick field h, as one (rows, D) stack with one row per h: the rows
-share the zz phase and each has its own kick angle.  Each row equals
-the single evolution of its drive bit for bit, and evolve_stroboscopic
-is the one-row case.  An evolution never writes its input.  It
-allocates its workspace once (the states in the kick's real frame, one
-kick scratch buffer, one measurement copy when the axis is tilted, and
-the float weights, each one row per h), binds the kick's matmul
-operands to those buffers once, and then runs every period in place:
-the zz multiply and the real kick kernel, with no quarter-turn phase
-passes, since |Q x| = |x| for the exact phase diagonal Q that separates
-the frame from the state.  The norm guard sums the same squared
-amplitudes as the magnetization, elementwise and row by row, so no step
-of a period calls BLAS outside the kick's single-threaded gemms; the
-squared norms are recorded per period and checked after the loop.
+evolve_scan evolves one state under one operator at several kick fields
+h, as one (rows, D) stack with one row per h that shares the zz phase;
+each row equals the single evolution at its h bit for bit, and
+evolve_stroboscopic is the one-row case.  An evolution never writes its
+input, allocates and binds its workspace once, and runs every period in
+the kick's real frame: the zz multiply into the kick's entry buffer,
+then the real kick kernel, with no quarter-turn phase passes, since
+|Q x| = |x| for the exact phase diagonal Q that separates the frame
+from the state.  The norm guard sums the same squared amplitudes as the
+magnetization, elementwise and row by row, so no step of a period calls
+BLAS outside the kick's single-threaded gemms; the squared norms are
+recorded per period and checked after the loop.
 """
 
 from __future__ import annotations
@@ -170,27 +167,29 @@ class MagnetizationTrace:
 
 
 def evolve_scan(
-    ops: Sequence[FloquetOperator],
+    op: FloquetOperator,
+    h_values: Sequence[float],
     state: np.ndarray,
     periods: int,
     axis: float = 0.0,
 ) -> tuple[MagnetizationTrace, ...]:
-    """Evolve one state under each operator for ``periods`` drive periods,
-    measuring each step; return one trace per operator, in order.
+    """Evolve one state under ``op`` at each kick field of ``h_values``
+    for ``periods`` drive periods, measuring each step; return one trace
+    per h, in order.
 
-    The operators must share the lattice and differ only in h, as the
-    points of a kick-field scan do.  All of them run as one (rows, D)
-    stack, one row per operator: the rows share the zz phase of the
-    first operator (it depends on the lattice, j_x, j_y and T alone) and
-    each has its own kick angle.  Every gemm of the kick has the size it
-    has for one row, and the row sums of the measurement are the sums of
-    one row, so each trace equals evolve_stroboscopic of its operator bit
-    for bit; only the per-call overhead is shared.
+    The kick fields are raw, in the units of ``op.params.h``, and the
+    angle of each is ``replace(op.params, h=h).theta_h``.  All of them
+    run as one (rows, D) stack, one row per h: the rows share the zz
+    phase of ``op`` (it depends on the lattice, j_x, j_y and T alone)
+    and each has its own kick angle.  Every gemm of the kick has the
+    size it has for one row, and the row sums of the measurement are the
+    sums of one row, so each trace equals evolve_stroboscopic of the
+    operator at its h bit for bit; only the per-call overhead is shared.
 
     The input state is never written.  The evolution runs in the kick's
     real frame: it holds u = conj(Q) v with Q = diag(i**popcount(b))
     instead of the state v, so a period is the zz multiply followed by
-    the real kick kernel, both in place, with none of the phase passes of
+    the real kick kernel, with none of the phase passes of
     rotate_x_all_sites.  The diagonals commute with Q, and multiplying
     by +-1 or +-i is exact, so u is the public per-period state up to an
     exact phase per amplitude and |u|**2 = |v|**2 bit for bit.  A row at
@@ -199,11 +198,11 @@ def evolve_scan(
 
     All buffers are allocated once per evolution: u, the kernel's
     scratch, a copy of u for a tilted measurement and the float weights,
-    each one row per operator.  The kick alternates u between two
-    buffers; its matmul operands are bound once for either buffer
-    holding u, and so are those of the tilted measurement, which runs
-    the same kernel at angle axis/2 on the copy: rotate_x_all_sites
-    without its phases.
+    each one row per h.  The kick is bound once to u and the scratch:
+    the zz multiply writes into its entry buffer and the kick leaves the
+    result in u.  The tilted measurement is bound once to the copy and
+    the same scratch; it runs the same kernel at angle axis/2, which is
+    rotate_x_all_sites without its phases.
 
     The squared norms, summed from the squared amplitudes the
     measurement sums anyway, are recorded every period and checked once
@@ -211,46 +210,38 @@ def evolve_scan(
     the first period it shows in, rather than returning silently wrong
     data.
     """
-    ops = tuple(ops)
-    if not ops:
-        raise ValueError("need at least one operator")
-    first = ops[0]
-    for op in ops[1:]:
-        if op.lattice != first.lattice or replace(op.params, h=first.params.h) != first.params:
-            raise ValueError("the operators of a scan must share the lattice and differ only in h")
+    angles = tuple(replace(op.params, h=h).theta_h for h in h_values)
+    if not angles:
+        raise ValueError("need at least one kick field")
     if periods < 1:
         raise ValueError("periods must be >= 1")
-    n = first.lattice.n_sites
+    n = op.lattice.n_sites
     v = np.asarray(state, dtype=complex)
-    if v.shape != (first.lattice.dim,):
-        raise ValueError(f"state must have shape ({first.lattice.dim},), got {v.shape}")
-    angles = tuple(op.params.theta_h for op in ops)
-    zz = first.zz_phase
-    u = np.empty((len(ops), v.size), dtype=complex)
+    if v.shape != (op.lattice.dim,):
+        raise ValueError(f"state must have shape ({op.lattice.dim},), got {v.shape}")
+    u = np.empty((len(angles), v.size), dtype=complex)
     np.multiply(v, _quarter_turns(n).conj(), out=u)
-    buffers = (u, np.empty_like(u))
+    scratch = np.empty_like(u)
     weights = np.empty(u.shape)
-    kicks = [_bind_kick(buffers[p], buffers[1 - p], n, angles) for p in (0, 1)]
+    entry, kick = _bind_kick(u, scratch, n, angles)
+    measured = u
     if axis != 0.0:
-        copy = np.empty_like(u)
-        tilts = [_bind_kick(copy, buffers[1 - p], n, 0.5 * axis) for p in (0, 1)]
+        measured = np.empty_like(u)
+        tilt_entry, tilt = _bind_kick(measured, scratch, n, 0.5 * axis)
 
-    def measure(p: int) -> tuple[np.ndarray, np.ndarray]:
-        amplitudes = buffers[p]
+    def measure() -> tuple[np.ndarray, np.ndarray]:
         if axis != 0.0:
-            np.copyto(copy, amplitudes)
-            amplitudes = tilts[p]()
-        return _magnetization_and_norm(amplitudes, weights, n)
+            np.copyto(tilt_entry, u)
+            tilt()
+        return _magnetization_and_norm(measured, weights, n)
 
-    values = np.empty((len(ops), periods + 1))
-    norms_sq = np.empty((len(ops), periods))
-    p = 0  # buffers[p] holds u
-    values[:, 0] = measure(p)[0]
+    values = np.empty((len(angles), periods + 1))
+    norms_sq = np.empty((len(angles), periods))
+    values[:, 0] = measure()[0]
     for step in range(1, periods + 1):
-        np.multiply(zz, buffers[p], out=buffers[p])
-        if kicks[p]() is not buffers[p]:
-            p = 1 - p
-        values[:, step], norms_sq[:, step - 1] = measure(p)
+        np.multiply(op.zz_phase, u, out=entry)
+        kick()
+        values[:, step], norms_sq[:, step - 1] = measure()
     drift = np.abs(np.sqrt(norms_sq) - 1.0)
     # written so that a NaN norm fails too
     bad = ~(drift <= NORM_TOL)
@@ -259,7 +250,7 @@ def evolve_scan(
         row = int(np.flatnonzero(bad[:, step])[0])
         raise NumericalToleranceError(
             f"norm drifted to {math.sqrt(norms_sq[row, step])!r} after {step + 1} periods"
-            f" (h = {ops[row].params.h!r})"
+            f" (h = {h_values[row]!r})"
         )
     times = np.arange(periods + 1)
     for arr in (times, values):
@@ -272,7 +263,7 @@ def evolve_scan(
             period=op.params.period,
             max_norm_drift=float(drift[row].max()),
         )
-        for row, op in enumerate(ops)
+        for row in range(len(angles))
     )
 
 
@@ -284,11 +275,11 @@ def evolve_stroboscopic(
 ) -> MagnetizationTrace:
     """Evolve a state for ``periods`` drive periods, measuring each step.
 
-    The one-row case of evolve_scan: the input state is never written,
-    every buffer is allocated once, and a norm drift beyond NORM_TOL
-    raises NumericalToleranceError.
+    The one-row case of evolve_scan, at the operator's own h: the input
+    state is never written, every buffer is allocated once, and a norm
+    drift beyond NORM_TOL raises NumericalToleranceError.
     """
-    (trace,) = evolve_scan((op,), state, periods, axis)
+    (trace,) = evolve_scan(op, (op.params.h,), state, periods, axis)
     return trace
 
 

@@ -13,20 +13,20 @@ frame, exp(-i theta X) = S exp(i theta Y) S^dagger with S = diag(1, i).
 rotate_x_all_sites multiplies by an exact quarter-turn phase per basis
 state, runs the real kernel (one matmul per group of KICK_BLOCK_SITES
 sites with the cached kron power of exp(i theta Y) on the float64 view
-of the state, into a scratch buffer), and multiplies the phase back,
-O(2**N * 2**KICK_BLOCK_SITES) per period.  The kernel takes one angle
-for every state or one angle per row of a stack; its blocks are cached
-per tuple of angles, stacked along a leading row axis, with the lowest
-group's block stored transposed so that its gemm runs NN.  Every gemm
-stays below KICK_GEMM_MACS multiply-adds and has the same size for a
-row of a stack as for one state, so the kick runs on the calling
-thread and a row's result does not depend on the other rows.  The
-phases commute with U_zz, so a caller that propagates many periods
-(dynamics.evolve_scan, one row per kick field) stays in the real
-frame, binds the kernel to buffers it owns once and then calls it
-alone.  apply() also takes a stack of states, and that is how the
-spectrum reads U: the symmetry blocks are projected from U applied to
-the orbit representatives.
+of the state, alternating with a scratch buffer and ending in the
+state), and multiplies the phase back, O(2**N * 2**KICK_BLOCK_SITES)
+per period.  The kernel takes one angle for every state or one angle
+per row of a stack; its blocks are cached per tuple of angles, stacked
+along a leading row axis, with the lowest group's block stored
+transposed so that its gemm runs NN.  Every gemm stays below
+KICK_GEMM_MACS multiply-adds and has the same size for a row of a stack
+as for one state, so the kick runs on the calling thread and a row's
+result does not depend on the other rows.  The phases commute with
+U_zz, so a caller that propagates many periods (dynamics.evolve_scan,
+one row per kick field) stays in the real frame, binds the kernel to
+buffers it owns once and then calls it alone.  apply() also takes a
+stack of states, and that is how the spectrum reads U: the symmetry
+blocks are projected from U applied to the orbit representatives.
 
 Quasienergies are eps = -arg(lambda) / T folded into (-pi/T, pi/T].
 The spectrum is computed sector by sector: the global spin flip and, per
@@ -183,33 +183,38 @@ def _quarter_turns(n_sites: int) -> np.ndarray:
 
 def _bind_kick(
     state: np.ndarray, scratch: np.ndarray, n_sites: int, angle: float | tuple[float, ...]
-) -> Callable[[], np.ndarray]:
+) -> tuple[np.ndarray, Callable[[], None]]:
     """Bind the real kron power of exp(i * angle * Y) to the complex,
     contiguous ``state`` (one vector or a stack of vectors along the
-    last axis), alternating with ``scratch``; return the kick.
+    last axis) and ``scratch``; return ``(entry, kick)``.
 
     ``angle`` is one angle for every vector or a tuple with one angle
-    per row of an (m, D) stack.  Each call of the returned function
-    overwrites both buffers and returns whichever of the two holds the
-    result, so a caller that kicks the same buffers every period binds
-    the matmul operands once.  Sites are taken in groups of
-    KICK_BLOCK_SITES (the last group may be narrower).  Group [k, k + w)
-    multiplies the axis of bits k..k+w-1 by its cached real block,
-    writing into the other buffer, so the kick costs
-    O(2**N * 2**KICK_BLOCK_SITES) time per vector and allocates nothing.
-    The lowest group interleaves real and imaginary parts and multiplies
-    stacks of rows; upper groups multiply stacks of columns.  Every gemm
-    is cut, by the vector length alone, to at most KICK_GEMM_MACS
-    multiply-adds, which OpenBLAS runs on the calling thread, so each
-    output is one inner product of length 2**w or 2**(w + 1) whatever the
-    thread count, the stack size or the angles of the other rows.
+    per row of an (m, D) stack.  The caller writes the kernel's input
+    into ``entry``, which is ``scratch`` when the number of site groups
+    is odd and ``state`` when it is even; each call of ``kick`` then
+    overwrites both buffers and leaves the result in ``state``, so a
+    caller that kicks the same buffers every period binds the matmul
+    operands once.  Sites are taken in groups of KICK_BLOCK_SITES (the
+    last group may be narrower).  Group [k, k + w) multiplies the axis
+    of bits k..k+w-1 by its cached real block, writing into the other
+    buffer, so the kick costs O(2**N * 2**KICK_BLOCK_SITES) time per
+    vector and allocates nothing.  The lowest group interleaves real and
+    imaginary parts and multiplies stacks of rows; upper groups multiply
+    stacks of columns.  Every gemm is cut, by the vector length alone,
+    to at most KICK_GEMM_MACS multiply-adds, which OpenBLAS runs on the
+    calling thread, so each output is one inner product of length 2**w
+    or 2**(w + 1) whatever the thread count, the stack size or the
+    angles of the other rows.
     """
     angles = angle if isinstance(angle, tuple) else (angle,)
     # with one angle the whole stack folds into the batch axis
     lead = len(angles)
+    blocks = _stacked_blocks(angles, n_sites)
+    # the groups alternate between the buffers, so the last one writes state
+    src, dst = (scratch, state) if len(blocks) % 2 else (state, scratch)
+    entry = src
     products = []
-    src, dst = state, scratch
-    for k, block in zip(range(0, n_sites, KICK_BLOCK_SITES), _stacked_blocks(angles, n_sites)):
+    for k, block in zip(range(0, n_sites, KICK_BLOCK_SITES), blocks):
         x, y = src.view(np.float64), dst.view(np.float64)
         size = block.shape[-1]
         if k == 0:
@@ -222,12 +227,11 @@ def _bind_kick(
             products.append((block, x.reshape(shape).swapaxes(2, 3), y.reshape(shape).swapaxes(2, 3)))
         src, dst = dst, src
 
-    def kick() -> np.ndarray:
+    def kick() -> None:
         for a, b, out in products:
             np.matmul(a, b, out=out)
-        return src
 
-    return kick
+    return entry, kick
 
 
 def rotate_x_all_sites(state: np.ndarray, n_sites: int, angle: float) -> np.ndarray:
@@ -236,16 +240,18 @@ def rotate_x_all_sites(state: np.ndarray, n_sites: int, angle: float) -> np.ndar
     The caller must own ``state`` (complex, contiguous, one vector or a
     stack of vectors along the first axis); it is overwritten.  With
     S = diag(1, i), exp(-i angle X) = S exp(i angle Y) S^dagger, and
-    exp(i angle Y) is real.  So the state is multiplied by the phase
+    exp(i angle Y) is real.  So the state times the phase
     conj(i**popcount(b)) of prod_k S_k^dagger (exact: every factor is +-1
-    or +-i), the real kick kernel runs on a fresh scratch buffer, and the
-    phase i**popcount(b) is multiplied back.  At angle 0 the kernel's
-    blocks are identities, so every amplitude keeps its value.
+    or +-i) goes into the kernel's entry buffer, the real kick kernel
+    runs with a fresh scratch buffer and leaves its result in ``state``,
+    and the phase i**popcount(b) is multiplied back.  At angle 0 the
+    kernel's blocks are identities, so every amplitude keeps its value.
     """
     quarter = _quarter_turns(n_sites)
-    state *= quarter.conj()
-    out = _bind_kick(state, np.empty_like(state), n_sites, angle)()
-    return np.multiply(out, quarter, out=state)
+    entry, kick = _bind_kick(state, np.empty_like(state), n_sites, angle)
+    np.multiply(state, quarter.conj(), out=entry)
+    kick()
+    return np.multiply(state, quarter, out=state)
 
 
 @dataclass(frozen=True)

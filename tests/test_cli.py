@@ -358,6 +358,33 @@ def test_json_format_round_trips(tmp_path):
     assert config["task"]["h_values"] == [1.2, 1e-13]
 
 
+@pytest.mark.parametrize("document", [{"a": 1}, {"command": "spectrum"}, {"config": {}}])
+def test_json_without_command_or_config_is_config_error(tmp_path, document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(cli.ConfigError, match="command and config"):
+        cli.read_emitted_config(str(path))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+def test_artifact_mode_follows_umask(tmp_path, umask):
+    """An artifact, new or overwritten, gets the mode of a file opened
+    normally under the same umask."""
+    out = tmp_path / "mode.csv"
+    plain = tmp_path / "plain.csv"
+    argv = ["phase1d", "--out", str(out), "--h-values", "1.2", "--j-values", "0.7"]
+    previous = os.umask(umask)
+    try:
+        plain.write_text("")
+        assert cli.main(argv) == 0
+        assert out.stat().st_mode == plain.stat().st_mode
+        out.chmod(0o644)
+        assert cli.main(argv) == 0
+        assert out.stat().st_mode == plain.stat().st_mode
+    finally:
+        os.umask(previous)
+
+
 def test_config_file_with_flag_override(tmp_path):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({

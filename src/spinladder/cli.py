@@ -23,6 +23,7 @@ import sys
 import tempfile
 from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin
 
+from . import _blas
 from .dynamics import (
     MagnetizationTrace,
     check_spectrum_periods,
@@ -344,21 +345,29 @@ def read_emitted_config(path: str) -> tuple[str, dict]:
     """Recover (command, resolved config) from an emitted artifact.
 
     Understands both output formats; the returned config can be fed back
-    through the same subcommand to regenerate the file exactly.
+    through the same subcommand to regenerate the file exactly.  A file
+    without that header, or whose config is not a JSON object, raises
+    ConfigError naming the path.
     """
-    with open(path) as handle:
-        first = handle.readline()
-        if first.startswith("{"):
-            handle.seek(0)
-            document = json.load(handle)
-            if "command" not in document or "config" not in document:
-                raise ConfigError(f"{path} does not carry a spinladder command and config")
-            return document["command"], document["config"]
-        second = handle.readline()
-    if not first.startswith("# spinladder ") or not second.startswith("# config: "):
-        raise ConfigError(f"{path} does not carry a spinladder header")
-    command = first[len("# spinladder "):].strip()
-    config = json.loads(second[len("# config: "):])
+    try:
+        with open(path) as handle:
+            first = handle.readline()
+            if first.startswith("{"):
+                handle.seek(0)
+                document = json.load(handle)
+                if "command" not in document or "config" not in document:
+                    raise ConfigError(f"{path} does not carry a spinladder command and config")
+                command, config = document["command"], document["config"]
+            else:
+                second = handle.readline()
+                if not first.startswith("# spinladder ") or not second.startswith("# config: "):
+                    raise ConfigError(f"{path} does not carry a spinladder header")
+                command = first[len("# spinladder "):].strip()
+                config = json.loads(second[len("# config: "):])
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} does not carry valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path} carries a config that is not a JSON object")
     return command, config
 
 
@@ -563,6 +572,15 @@ def run_command(command: str, config: dict) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    First of all, numpy's OpenBLAS goes to one thread with its pool
+    stopped (_blas.stop_pool), for the rest of the process: every BLAS
+    call a command makes already runs on one thread, so only the CPU
+    that idle pool workers spin away changes.  The count is not
+    restored, since setting it would start the pool again.
+    """
+    _blas.stop_pool()
     args = build_parser().parse_args(argv)
     command = args.command
     try:

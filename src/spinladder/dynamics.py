@@ -2,10 +2,10 @@
 
 States are prepared as product states with per-site Bloch angles in the
 z-y plane, evolved period by period with the matrix-free propagator, and
-measured along an arbitrary z-y axis.  The measurement rotates a copy of
-the state so that the tilted axis becomes the z axis, then accumulates
-the diagonal sum of sigma_z expectation values; this reuses the kick
-kernel instead of building any operator matrix.
+measured along an arbitrary z-y axis.  The measurement rotates the state
+into a separate buffer so that the tilted axis becomes the z axis, then
+accumulates the diagonal sum of sigma_z expectation values; this reuses
+the kick kernel instead of building any operator matrix.
 
 evolve_scan evolves one state under one operator at several kick fields
 h, as one (rows, D) stack with one row per h that shares the zz phase;
@@ -197,12 +197,15 @@ def evolve_scan(
     it is.
 
     All buffers are allocated once per evolution: u, the kernel's
-    scratch, a copy of u for a tilted measurement and the float weights,
-    each one row per h.  The kick is bound once to u and the scratch:
-    the zz multiply writes into its entry buffer and the kick leaves the
-    result in u.  The tilted measurement is bound once to the copy and
-    the same scratch; it runs the same kernel at angle axis/2, which is
-    rotate_x_all_sites without its phases.
+    scratch and, for a tilted measurement, the rotated state, each one
+    row per h.  The kick is bound once to u and the scratch: the zz
+    multiply writes into its entry buffer and the kick leaves the result
+    in u.  The tilted measurement is bound once to the rotated state and
+    the same scratch, with its first site group reading u in place; it
+    runs the same kernel at angle axis/2, which is rotate_x_all_sites
+    without its phases, and leaves u as it is.  The measurement squares
+    the amplitudes into the float64 view of the scratch, which holds
+    nothing between a kick and the next zz multiply.
 
     The squared norms, summed from the squared amplitudes the
     measurement sums anyway, are recorded every period and checked once
@@ -222,16 +225,16 @@ def evolve_scan(
     u = np.empty((len(angles), v.size), dtype=complex)
     np.multiply(v, _quarter_turns(n).conj(), out=u)
     scratch = np.empty_like(u)
-    weights = np.empty(u.shape)
+    # the first half of the scratch's floats, free while u is measured
+    weights = scratch.reshape(-1).view(np.float64)[: u.size].reshape(u.shape)
     entry, kick = _bind_kick(u, scratch, n, angles)
     measured = u
     if axis != 0.0:
         measured = np.empty_like(u)
-        tilt_entry, tilt = _bind_kick(measured, scratch, n, 0.5 * axis)
+        _, tilt = _bind_kick(measured, scratch, n, 0.5 * axis, source=u)
 
     def measure() -> tuple[np.ndarray, np.ndarray]:
         if axis != 0.0:
-            np.copyto(tilt_entry, u)
             tilt()
         return _magnetization_and_norm(measured, weights, n)
 

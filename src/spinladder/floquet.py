@@ -182,7 +182,11 @@ def _quarter_turns(n_sites: int) -> np.ndarray:
 
 
 def _bind_kick(
-    state: np.ndarray, scratch: np.ndarray, n_sites: int, angle: float | tuple[float, ...]
+    state: np.ndarray,
+    scratch: np.ndarray,
+    n_sites: int,
+    angle: float | tuple[float, ...],
+    source: np.ndarray | None = None,
 ) -> tuple[np.ndarray, Callable[[], None]]:
     """Bind the real kron power of exp(i * angle * Y) to the complex,
     contiguous ``state`` (one vector or a stack of vectors along the
@@ -205,6 +209,11 @@ def _bind_kick(
     calling thread, so each output is one inner product of length 2**w
     or 2**(w + 1) whatever the thread count, the stack size or the
     angles of the other rows.
+
+    Given ``source``, a contiguous array shaped like ``state``, the
+    first site group reads it instead of ``entry`` and never writes it,
+    so a caller kicks a state that it must keep without first copying
+    it into ``entry``.
     """
     angles = angle if isinstance(angle, tuple) else (angle,)
     # with one angle the whole stack folds into the batch axis
@@ -215,7 +224,8 @@ def _bind_kick(
     entry = src
     products = []
     for k, block in zip(range(0, n_sites, KICK_BLOCK_SITES), blocks):
-        x, y = src.view(np.float64), dst.view(np.float64)
+        read = source if k == 0 and source is not None else src
+        x, y = read.view(np.float64), dst.view(np.float64)
         size = block.shape[-1]
         if k == 0:
             shape = (lead, -1, min(KICK_GEMM_MACS // size**2, x.shape[-1] // size), size)

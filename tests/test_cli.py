@@ -7,6 +7,7 @@ artifact, and compares against the library computed directly.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -363,6 +364,21 @@ def test_json_without_command_or_config_is_config_error(tmp_path, document):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(document))
     with pytest.raises(cli.ConfigError, match="command and config"):
+        cli.read_emitted_config(str(path))
+
+
+@pytest.mark.parametrize("name, text", [
+    ("doc.json", "{not json"),
+    ("table.csv", "# spinladder spectrum\n# config: {oops\n"),
+    ("doc.json", '{"command": "spectrum", "config": [1]}'),
+    ("table.csv", "# spinladder spectrum\n# config: [1]\n"),
+], ids=["json-invalid", "csv-invalid", "json-not-object", "csv-not-object"])
+def test_malformed_emitted_config_is_config_error(tmp_path, name, text):
+    """A header config that is not valid JSON, or not a JSON object,
+    raises ConfigError naming the file, not a bare decode error."""
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(cli.ConfigError, match=re.escape(str(path))):
         cli.read_emitted_config(str(path))
 
 

@@ -363,6 +363,24 @@ cpu = (time.process_time() - cpu0) - (time.thread_time() - own0)
 print(cpu, len(openblas_builds() - before))
 """
 
+CLI_POOL_SCRIPT = """
+import os, tempfile, time
+import numpy as np
+from spinladder import cli
+from spinladder.floquet import DriveParams, build_floquet, diagonalize
+from spinladder.lattice import make_lattice
+
+a = np.ones((600, 600))
+a @ a
+with tempfile.TemporaryDirectory() as tmp:
+    cli.main(["spacing-table", "--sizes", "2x2,1x4", "--out", os.path.join(tmp, "table.csv")])
+cpu0, own0 = time.process_time(), time.thread_time()
+time.sleep(0.05)
+cpu = (time.process_time() - cpu0) - (time.thread_time() - own0)
+diagonalize(build_floquet(make_lattice(2, 2), DriveParams(0.1, 0.2, 0.3, 2.0)))
+print(cpu, len(os.listdir("/proc/self/task")))
+"""
+
 
 def run_at_two_blas_threads(script):
     """Run ``script`` in a fresh interpreter at two OpenBLAS threads and
@@ -423,6 +441,17 @@ def test_first_spectrum_wakes_no_idle_blas_pool():
     cpu, loaded = run_at_two_blas_threads(FIRST_SPECTRUM_SCRIPT)
     assert loaded == 0, f"diagonalize mapped {loaded:.0f} new OpenBLAS files"
     assert cpu < 0.005, f"other threads used {1e3 * cpu:.1f} ms of CPU time in a 50 ms sleep"
+
+
+def test_cli_stops_idle_blas_pool():
+    """cli.main stops the OpenBLAS pool before it runs a command: right
+    after a threaded product woke the pool, a command and a 50 ms sleep
+    leave the other threads idle, where a spinning worker would use most
+    of the sleep.  A later diagonalize, whose one_thread finds the count
+    already at one, starts no pool thread again."""
+    cpu, tasks = run_at_two_blas_threads(CLI_POOL_SCRIPT)
+    assert cpu < 0.005, f"other threads used {1e3 * cpu:.1f} ms of CPU time in a 50 ms sleep"
+    assert tasks == 1, f"the process runs {tasks:.0f} threads after diagonalize"
 
 
 def test_ideal_kick_alternates_exactly():

@@ -2,10 +2,12 @@
 
 States are prepared as product states with per-site Bloch angles in the
 z-y plane, evolved period by period with the matrix-free propagator, and
-measured along an arbitrary z-y axis.  The measurement rotates the state
-into a separate buffer so that the tilted axis becomes the z axis, then
-accumulates the diagonal sum of sigma_z expectation values; this reuses
-the kick kernel instead of building any operator matrix.
+measured along an arbitrary z-y axis.  The measurement works in the
+kick's real frame: it rotates the state into a separate buffer with the
+real kick kernel, so that the tilted axis becomes the z axis, then
+reduces the squared float64 view of the amplitudes to the squared norm
+and the diagonal sum of sigma_z expectation values; this reuses the
+kick kernel instead of building any operator matrix.
 
 evolve_scan evolves one state under one operator at several kick fields
 h, as one (rows, D) stack with one row per h that shares the zz phase;
@@ -15,10 +17,13 @@ input, allocates and binds its workspace once, and runs every period in
 the kick's real frame: the zz multiply into the kick's entry buffer,
 then the real kick kernel, with no quarter-turn phase passes, since
 |Q x| = |x| for the exact phase diagonal Q that separates the frame
-from the state.  The norm guard sums the same squared amplitudes as the
-magnetization, elementwise and row by row, so no step of a period calls
-BLAS outside the kick's single-threaded gemms; the squared norms are
-recorded per period and checked after the loop.
+from the state.  The measurement squares the floats into the kick's
+scratch and reduces them with two products per row against small
+cached tables, each cut by the vector length alone to at most
+KICK_GEMM_MACS multiply-adds, so every BLAS call of a period runs on
+the calling thread and a row's sums do not depend on the other rows.
+The squared norms are recorded with the magnetizations and checked
+after the loop.
 """
 
 from __future__ import annotations
@@ -32,11 +37,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .floquet import (
+    KICK_GEMM_MACS,
     FloquetOperator,
     NumericalToleranceError,
     _bind_kick,
     _quarter_turns,
-    rotate_x_all_sites,
 )
 from .lattice import Lattice
 
@@ -109,28 +114,73 @@ def prepare_state(lattice: Lattice, spec: ProductStateSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _zsum_diagonal(n_sites: int) -> np.ndarray:
-    idx = np.arange(1 << n_sites, dtype=np.uint64)
-    out = (n_sites - 2.0 * np.bitwise_count(idx)).astype(float)
-    out.setflags(write=False)
-    return out
+def _zsum_tables(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two real tables that reduce the squared float64 view of a
+    state to its squared norm and its z magnetization.
 
-
-def _magnetization_and_norm(
-    amplitudes: np.ndarray, weights: np.ndarray, n_sites: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Z magnetization and squared norm from the squared ``amplitudes``,
-    of one vector or of each row of a stack.
-
-    ``weights`` is a float scratch array of the same shape, overwritten.
-    Both are elementwise sums, not BLAS dots, which OpenBLAS would split
-    by thread count from 2**14 amplitudes on.
+    Float f = 2b + (0 for re, 1 for im) of basis state b is cut into
+    chunks of C = 2**ceil((n_sites + 1) / 2) floats, so that f holds the
+    L = log2(C) - 1 low sites of b within its chunk j and the
+    n_sites - L high sites in the chunk number c.  ``low`` (C, 2) holds
+    per j the z-sum of its low sites and 1, so a chunk times ``low``
+    gives its low-site z-sum and its squared norm.  ``high``
+    (2 * chunks, 2) turns those pairs into (squared norm,
+    magnetization), adding the chunk's offset n_sites - L -
+    2 * popcount(c) times its squared norm.  Both tables hold
+    O(2**(n_sites / 2)) floats.
     """
-    np.abs(amplitudes, out=weights)
-    np.square(weights, out=weights)
-    norm_sq = weights.sum(axis=-1)
-    weights *= _zsum_diagonal(n_sites)
-    return weights.sum(axis=-1), norm_sq
+    width = (n_sites + 2) // 2
+    low_sites = width - 1
+    j = np.arange(1 << width, dtype=np.uint64) >> np.uint64(1)
+    low = np.ones((1 << width, 2))
+    low[:, 0] = low_sites - 2.0 * np.bitwise_count(j)
+    c = np.arange(1 << (n_sites + 1 - width), dtype=np.uint64)
+    high = np.zeros((c.size, 2, 2))
+    high[:, 0, 1] = 1.0
+    high[:, 1, 0] = 1.0
+    high[:, 1, 1] = n_sites - low_sites - 2.0 * np.bitwise_count(c)
+    high = high.reshape(-1, 2)
+    for table in (low, high):
+        table.setflags(write=False)
+    return low, high
+
+
+def _bind_measure(
+    measured: np.ndarray, scratch: np.ndarray, n_sites: int
+) -> Callable[[np.ndarray], None]:
+    """Bind the measurement of each row of the complex, contiguous
+    (rows, D) stack ``measured``; return ``measure(out)``, which writes
+    the squared norm and the z magnetization of row r into out[r, 0].
+
+    ``scratch`` is a complex, contiguous array shaped like ``measured``
+    and overwritten by each call, and ``out`` an array of shape
+    (rows, 1, 2) whose last axis is contiguous.  The float64 view of
+    ``measured`` is squared into the float64 view of ``scratch``; one
+    np.matmul reduces each stack of chunks against the (C, 2) table of
+    _zsum_tables, and one more per row the chunks' pairs against the
+    per-chunk table.  The stacks are cut by the vector length alone to
+    at most KICK_GEMM_MACS multiply-adds, so OpenBLAS runs every product
+    on the calling thread, and a row of a stack runs exactly the
+    products a single vector runs.
+    """
+    rows, dim = measured.shape
+    low, high = _zsum_tables(n_sites)
+    size = low.shape[0]
+    chunks = 2 * dim // size
+    stack = min(chunks, KICK_GEMM_MACS // (2 * size))
+    floats = measured.view(np.float64)
+    squared = scratch.view(np.float64)
+    partial = np.empty((rows, chunks, 2))
+    chunked = squared.reshape(rows, -1, stack, size)
+    stacked = partial.reshape(rows, -1, stack, 2)
+    pairs = partial.reshape(rows, 1, 2 * chunks)
+
+    def measure(out: np.ndarray) -> None:
+        np.square(floats, out=squared)
+        np.matmul(chunked, low, out=stacked)
+        np.matmul(pairs, high, out=out)
+
+    return measure
 
 
 def measure_magnetization(
@@ -138,13 +188,23 @@ def measure_magnetization(
 ) -> float:
     """Total magnetization along cos(axis) z + sin(axis) y.
 
-    Rotating a copy of the state by exp(-i axis/2 sum_k X_k) turns the
-    tilted axis into z, after which the observable is diagonal.
+    Measured as evolve_scan measures: the state over i**popcount(b)
+    (exact, every factor is +-1 or +-i) is the kick's real-frame state;
+    the real kick kernel at angle axis/2, which is exp(-i axis/2 sum_k X_k)
+    in that frame, turns the tilted axis into z, after which the
+    observable is diagonal and is summed from the squared floats.  The
+    state is never written.
     """
-    work = np.asarray(state, dtype=complex)
+    work = np.divide(state, _quarter_turns(n_sites)).reshape(1, -1)
+    scratch = np.empty_like(work)
     if axis != 0.0:
-        work = rotate_x_all_sites(work.copy(), n_sites, 0.5 * axis)
-    return float(_magnetization_and_norm(work, np.empty(work.shape), n_sites)[0])
+        rotated = np.empty_like(work)
+        _, tilt = _bind_kick(rotated, scratch, n_sites, 0.5 * axis, source=work)
+        tilt()
+        work = rotated
+    out = np.empty((1, 1, 2))
+    _bind_measure(work, scratch, n_sites)(out)
+    return float(out[0, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -181,10 +241,10 @@ def evolve_scan(
     angle of each is ``replace(op.params, h=h).theta_h``.  All of them
     run as one (rows, D) stack, one row per h: the rows share the zz
     phase of ``op`` (it depends on the lattice, j_x, j_y and T alone)
-    and each has its own kick angle.  Every gemm of the kick has the
-    size it has for one row, and the row sums of the measurement are the
-    sums of one row, so each trace equals evolve_stroboscopic of the
-    operator at its h bit for bit; only the per-call overhead is shared.
+    and each has its own kick angle.  Every gemm of the kick and every
+    product of the measurement has the size it has for one row, so each
+    trace equals evolve_stroboscopic of the operator at its h bit for
+    bit; only the per-call overhead is shared.
 
     The input state is never written.  The evolution runs in the kick's
     real frame: it holds u = conj(Q) v with Q = diag(i**popcount(b))
@@ -192,7 +252,8 @@ def evolve_scan(
     the real kick kernel, with none of the phase passes of
     rotate_x_all_sites.  The diagonals commute with Q, and multiplying
     by +-1 or +-i is exact, so u is the public per-period state up to an
-    exact phase per amplitude and |u|**2 = |v|**2 bit for bit.  A row at
+    exact phase per amplitude, and measure_magnetization, which turns
+    its input into the same frame, reads the same floats.  A row at
     h = 0 takes identity blocks, which leave every amplitude's value as
     it is.
 
@@ -204,14 +265,17 @@ def evolve_scan(
     the same scratch, with its first site group reading u in place; it
     runs the same kernel at angle axis/2, which is rotate_x_all_sites
     without its phases, and leaves u as it is.  The measurement squares
-    the amplitudes into the float64 view of the scratch, which holds
-    nothing between a kick and the next zz multiply.
+    the float64 view of the measured amplitudes into the whole float64
+    view of the scratch, which holds nothing between a kick and the
+    next zz multiply, and reduces the squares with one product per
+    stack of chunks against a (C, 2) table, then one per row against a
+    per-chunk table (_bind_measure).
 
-    The squared norms, summed from the squared amplitudes the
-    measurement sums anyway, are recorded every period and checked once
-    after the loop: a drift beyond NORM_TOL in any row raises, naming
-    the first period it shows in, rather than returning silently wrong
-    data.
+    Each period writes its squared norm and magnetization into one
+    record of rows x (2 * periods + 1) floats; the values and the norms
+    are read from it after the loop, and the norms are checked there: a
+    drift beyond NORM_TOL in any row raises, naming the first period it
+    shows in, rather than returning silently wrong data.
     """
     angles = tuple(replace(op.params, h=h).theta_h for h in h_values)
     if not angles:
@@ -222,30 +286,41 @@ def evolve_scan(
     v = np.asarray(state, dtype=complex)
     if v.shape != (op.lattice.dim,):
         raise ValueError(f"state must have shape ({op.lattice.dim},), got {v.shape}")
-    u = np.empty((len(angles), v.size), dtype=complex)
-    np.multiply(v, _quarter_turns(n).conj(), out=u)
+    rows = len(angles)
+    # the buffers before any table that this call builds and caches: the
+    # table then sits above them in the heap, so that freeing them does
+    # not hand their pages back to the system for the next call to fault in
+    u = np.empty((rows, v.size), dtype=complex)
     scratch = np.empty_like(u)
-    # the first half of the scratch's floats, free while u is measured
-    weights = scratch.reshape(-1).view(np.float64)[: u.size].reshape(u.shape)
+    measured = u if axis == 0.0 else np.empty_like(u)
+    # conj(Q) v, exactly, without a conjugated copy of Q
+    np.divide(v, _quarter_turns(n), out=u)
     entry, kick = _bind_kick(u, scratch, n, angles)
-    measured = u
     if axis != 0.0:
-        measured = np.empty_like(u)
         _, tilt = _bind_kick(measured, scratch, n, 0.5 * axis, source=u)
+    measure_sums = _bind_measure(measured, scratch, n)
 
-    def measure() -> tuple[np.ndarray, np.ndarray]:
+    def measure(out: np.ndarray) -> None:
         if axis != 0.0:
             tilt()
-        return _magnetization_and_norm(measured, weights, n)
+        measure_sums(out)
 
-    values = np.empty((len(angles), periods + 1))
-    norms_sq = np.empty((len(angles), periods))
-    values[:, 0] = measure()[0]
-    for step in range(1, periods + 1):
+    # [m_0, |u_1|**2, m_1, ..., |u_M|**2, m_M] per row: period n >= 1
+    # writes its pair at 2n - 1; the squared norm at n = 0 is not kept
+    record = np.empty((rows, 2 * periods + 1))
+    first = np.empty((rows, 1, 2))
+    measure(first)
+    record[:, 0] = first[:, 0, 1]
+    slots = record[:, 1:].reshape(rows, periods, 1, 2)
+    for step in range(periods):
         np.multiply(op.zz_phase, u, out=entry)
         kick()
-        values[:, step], norms_sq[:, step - 1] = measure()
-    drift = np.abs(np.sqrt(norms_sq) - 1.0)
+        measure(slots[:, step])
+    record.setflags(write=False)
+    values, norms_sq = record[:, 0::2], record[:, 1::2]
+    drift = np.sqrt(norms_sq)
+    drift -= 1.0
+    np.abs(drift, out=drift)
     # written so that a NaN norm fails too
     bad = ~(drift <= NORM_TOL)
     if bad.any():
@@ -256,8 +331,7 @@ def evolve_scan(
             f" (h = {h_values[row]!r})"
         )
     times = np.arange(periods + 1)
-    for arr in (times, values):
-        arr.setflags(write=False)
+    times.setflags(write=False)
     return tuple(
         MagnetizationTrace(
             times=times,
@@ -266,7 +340,7 @@ def evolve_scan(
             period=op.params.period,
             max_norm_drift=float(drift[row].max()),
         )
-        for row in range(len(angles))
+        for row in range(rows)
     )
 
 

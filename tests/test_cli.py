@@ -573,8 +573,14 @@ def test_exit_codes(tmp_path, monkeypatch):
 
 
 def rows_at_blas_threads(tmp_path, argv, artifact):
-    """Run the CLI in a subprocess at one and two OpenBLAS threads and
-    return the artifact's data rows for each thread count."""
+    """Run the CLI in a subprocess started at one and at two OpenBLAS
+    threads and return the artifact's data rows for each start count.
+
+    cli.main sets OpenBLAS to one thread before it runs a command, so
+    both runs compute at one thread; they check that an artifact does
+    not depend on the count the process starts with.
+    test_dynamics.test_evolution_independent_of_blas_threads runs the
+    evolution from the library at two threads."""
     src = str(Path(cli.__file__).resolve().parents[1])
     artifacts = {}
     for threads in ("1", "2"):
@@ -638,8 +644,8 @@ def test_large_corner_spectral_independent_of_blas_threads(tmp_path, lattice):
 
 def test_scan_independent_of_blas_threads(tmp_path):
     """A 1x14 scan evolves its three h values as one stack of 3 x 16384
-    amplitudes; the stacked kicks and row sums must not depend on the
-    thread count."""
+    amplitudes; its artifact must not depend on the OpenBLAS thread
+    count the process starts with (the command runs at one thread)."""
     artifacts = rows_at_blas_threads(tmp_path, [
         "scan", "--nx", "1", "--ny", "14", "--jx", "0.05", "--jy", "0.6",
         "--h-values", "0.7,0.85,1.0", "--periods", "20", "--init", f"tilt:{math.pi / 4!r}",
@@ -650,9 +656,10 @@ def test_scan_independent_of_blas_threads(tmp_path):
 
 
 def test_dynamics_independent_of_blas_threads(tmp_path):
-    """From 2**14 amplitudes OpenBLAS splits dot products across threads;
-    the kick's matmuls and the magnetization and norm sums must not
-    depend on it, at 14 and 16 sites."""
+    """Tilted 1x14 and 1x16 dynamics artifacts must not depend on the
+    OpenBLAS thread count the process starts with (the command runs at
+    one thread); test_evolution_independent_of_blas_threads runs the
+    library at two."""
     for n_y in (14, 16):
         workdir = tmp_path / f"1x{n_y}"
         workdir.mkdir()

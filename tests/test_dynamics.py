@@ -133,6 +133,29 @@ def test_magnetization_matches_dense_operator(theta, axis):
     assert measure_magnetization(state, n, axis) == pytest.approx(dense, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 11, 12, 16, 17])
+def test_measurement_matches_elementwise_sums(n):
+    """The products against the chunk tables give the elementwise sums
+    to rounding: the squared norm and the z magnetization of a random
+    state, and its magnetization along a tilted axis.  From 16 sites on
+    a row's chunks take more than one product."""
+    rng = np.random.default_rng(n)
+    dim = 1 << n
+    state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    state /= np.linalg.norm(state)
+    z = n - 2.0 * np.bitwise_count(np.arange(dim))
+    real = (state * np.array([1, -1j, -1, 1j])[np.bitwise_count(np.arange(dim)) % 4]).reshape(1, -1)
+    sums = np.empty((1, 1, 2))
+    dynamics._bind_measure(real, np.empty_like(real), n)(sums)
+    assert sums[0, 0, 0] == pytest.approx(float(np.sum(np.abs(state) ** 2)), abs=1e-13)
+    assert sums[0, 0, 1] == pytest.approx(float(np.abs(state) ** 2 @ z), abs=1e-13 * n)
+    assert measure_magnetization(state, n) == sums[0, 0, 1]
+    tilted = rotate_x_all_sites(state.copy(), n, 0.5 * 0.9)
+    assert measure_magnetization(state, n, 0.9) == pytest.approx(
+        float(np.abs(tilted) ** 2 @ z), abs=1e-13 * n
+    )
+
+
 def test_trivial_drive_keeps_trace_constant():
     lat = make_lattice(1, 3)
     op = build_floquet(lat, DriveParams(j_x=0.0, j_y=0.0, h=0.0, period=2.0))
@@ -177,17 +200,23 @@ def test_evolution_leaves_input_state_unmodified(axis):
 
 def rebuilt_trace(op, state, periods, axis):
     """Magnetizations and worst norm drift from op.apply and
-    measure_magnetization, period by period; the norm is summed from the
-    squared amplitudes the measurement reads."""
+    measure_magnetization, period by period.  The squared norm is
+    summed, as the measurement sums it, from the squared floats of the
+    state in the kick's real frame: the state times
+    conj(i**popcount(b)), rotated by rotate_x_all_sites first when the
+    axis is tilted."""
     n = op.lattice.n_sites
+    frame = np.array([1, -1j, -1, 1j])[np.bitwise_count(np.arange(op.lattice.dim)) % 4]
     v = np.asarray(state, dtype=complex)
     values = [measure_magnetization(v, n, axis)]
     drift = 0.0
+    sums = np.empty((1, 1, 2))
     for _ in range(periods):
         v = op.apply(v)
         measured = v if axis == 0.0 else rotate_x_all_sites(v.copy(), n, 0.5 * axis)
-        norm = math.sqrt(float((np.abs(measured) ** 2).sum()))
-        drift = max(drift, abs(norm - 1.0))
+        real = (measured * frame).reshape(1, -1)
+        dynamics._bind_measure(real, np.empty_like(real), n)(sums)
+        drift = max(drift, abs(math.sqrt(sums[0, 0, 0]) - 1.0))
         values.append(measure_magnetization(v, n, axis))
     return np.array(values), drift
 
@@ -382,17 +411,42 @@ print(cpu, len(os.listdir("/proc/self/task")))
 """
 
 
-def run_at_two_blas_threads(script):
-    """Run ``script`` in a fresh interpreter at two OpenBLAS threads and
-    return the numbers it prints."""
+LIBRARY_THREADS_SCRIPT = """
+import hashlib, math
+from spinladder import _blas
+from spinladder.dynamics import evolve_scan, prepare_state, uniform_tilt
+from spinladder.floquet import DriveParams, build_floquet
+from spinladder.lattice import make_lattice
+
+print(*(get_threads() for _, get_threads, _ in _blas._thread_controls()))
+for n, hs in ((14, (0.7, 0.8, 0.9, 1.0)), (16, (0.9,)), (17, (0.9,))):
+    lat = make_lattice(1, n)
+    op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, hs[0], 2.0))
+    fields = [DriveParams.from_pi_over_t(0.05, 0.6, h, 2.0).h for h in hs]
+    state = prepare_state(lat, uniform_tilt(n, math.pi / 4))
+    for axis in (0.0, math.pi / 4):
+        for trace in evolve_scan(op, fields, state, 6, axis):
+            digest = hashlib.sha256(trace.values.tobytes()).hexdigest()
+            print(n, axis, digest, trace.max_norm_drift.hex())
+"""
+
+
+def run_at_blas_threads(script, threads="2"):
+    """Run ``script`` in a fresh interpreter at ``threads`` OpenBLAS
+    threads and return what it prints."""
     src = str(Path(dynamics.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", script],
         env=env, check=True, capture_output=True, text=True, timeout=300,
     )
-    return [float(v) for v in done.stdout.split()]
+    return done.stdout
+
+
+def run_at_two_blas_threads(script):
+    """The numbers ``script`` prints at two OpenBLAS threads."""
+    return [float(v) for v in run_at_blas_threads(script).split()]
 
 
 def assert_one_core(ratio):
@@ -420,6 +474,23 @@ def test_stacked_scan_stays_on_one_core():
     per-row kicks and no row sum wakes the second thread."""
     (ratio,) = run_at_two_blas_threads(SCAN_ONE_CORE_SCRIPT)
     assert_one_core(ratio)
+
+
+def test_evolution_independent_of_blas_threads():
+    """evolve_scan, called from the library at one and at two OpenBLAS
+    threads, gives the same traces and norm drifts bit for bit, tilted
+    and untilted: a four-row 1x14 stack, 1x16 and 1x17, where the kick's
+    gemms and the measurement's products would reach a second thread if
+    they were not cut.  The child prints the thread count it runs at, so
+    the two-thread leg is known to run at two."""
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a second OpenBLAS thread needs two CPUs")
+    traces = {}
+    for threads in ("1", "2"):
+        counts, *traces[threads] = run_at_blas_threads(LIBRARY_THREADS_SCRIPT, threads).splitlines()
+        assert set(counts.split()) == {threads}, f"the child ran OpenBLAS at {counts} threads"
+    assert len(traces["1"]) == 2 * (4 + 1 + 1)
+    assert traces["1"] == traces["2"]
 
 
 def test_corner_scan_stays_on_one_core():

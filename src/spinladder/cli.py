@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Any, Callable, NamedTuple, Sequence, get_args, get_origin
 
 from . import _blas
@@ -325,14 +324,12 @@ def emit(
             document["notes"] = list(comments)
         payload = json.dumps(document, sort_keys=True, indent=2) + "\n"
 
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".spinladder-")
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp_path = os.path.join(directory, f".spinladder-{os.urandom(8).hex()}")
+    # a new file, made 0o666 less the umask by the kernel, as open() makes it
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
-            # mkstemp makes the file 0600 whatever the umask
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(payload)
         os.replace(tmp_path, path)
     except BaseException:

@@ -2,12 +2,14 @@
 
 States are prepared as product states with per-site Bloch angles in the
 z-y plane, evolved period by period with the matrix-free propagator, and
-measured along an arbitrary z-y axis.  The measurement works in the
-kick's real frame: it rotates the state into a separate buffer with the
-real kick kernel, so that the tilted axis becomes the z axis, then
-reduces the squared float64 view of the amplitudes to the squared norm
-and the diagonal sum of sigma_z expectation values; this reuses the
-kick kernel instead of building any operator matrix.
+measured along an arbitrary z-y axis.  One binding, _bind_measure,
+measures for both evolve_scan and measure_magnetization.  It works in
+the kick's real frame: for a tilted axis it rotates the state into a
+separate buffer with the real kick kernel, so that the tilted axis
+becomes the z axis, then it reduces the squared float64 view of the
+amplitudes to the squared norm and the diagonal sum of sigma_z
+expectation values; this reuses the kick kernel instead of building any
+operator matrix.
 
 evolve_scan evolves one state under one operator at several kick fields
 h, as one (rows, D) stack with one row per h that shares the zz phase;
@@ -22,8 +24,9 @@ scratch and reduces them with two products per row against small
 cached tables, each cut by the vector length alone to at most
 KICK_GEMM_MACS multiply-adds, so every BLAS call of a period runs on
 the calling thread and a row's sums do not depend on the other rows.
-The squared norms are recorded with the magnetizations and checked
-after the loop.
+Each measurement, period 0 included, writes its squared norm and
+magnetization into its own slot of one record, and the norms are
+checked after the loop.
 """
 
 from __future__ import annotations
@@ -146,24 +149,32 @@ def _zsum_tables(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bind_measure(
-    measured: np.ndarray, scratch: np.ndarray, n_sites: int
+    u: np.ndarray, scratch: np.ndarray, n_sites: int, axis: float = 0.0
 ) -> Callable[[np.ndarray], None]:
-    """Bind the measurement of each row of the complex, contiguous
-    (rows, D) stack ``measured``; return ``measure(out)``, which writes
-    the squared norm and the z magnetization of row r into out[r, 0].
+    """Bind the measurement along cos(axis) z + sin(axis) y of each row
+    of the complex, contiguous (rows, D) stack ``u`` of real-frame
+    states; return ``measure(out)``, which writes the squared norm and
+    the magnetization of row r into out[r, 0] and leaves ``u`` as it is.
 
-    ``scratch`` is a complex, contiguous array shaped like ``measured``
-    and overwritten by each call, and ``out`` an array of shape
-    (rows, 1, 2) whose last axis is contiguous.  The float64 view of
-    ``measured`` is squared into the float64 view of ``scratch``; one
-    np.matmul reduces each stack of chunks against the (C, 2) table of
-    _zsum_tables, and one more per row the chunks' pairs against the
-    per-chunk table.  The stacks are cut by the vector length alone to
-    at most KICK_GEMM_MACS multiply-adds, so OpenBLAS runs every product
-    on the calling thread, and a row of a stack runs exactly the
-    products a single vector runs.
+    ``scratch`` is a complex, contiguous array shaped like ``u`` and
+    overwritten by each call, and ``out`` an array of shape (rows, 1, 2)
+    whose last axis is contiguous.  A tilted axis allocates one more
+    buffer shaped like ``u``, the rotated state: the real kick kernel at
+    angle axis/2, which is exp(-i axis/2 sum_k X_k) in the real frame,
+    reads ``u`` in place and turns the tilted axis into z.  The float64
+    view of the measured state is then squared into the float64 view of
+    ``scratch``; one np.matmul reduces each stack of chunks against the
+    (C, 2) table of _zsum_tables, and one more per row the chunks' pairs
+    against the per-chunk table.  The stacks are cut by the vector
+    length alone to at most KICK_GEMM_MACS multiply-adds, so OpenBLAS
+    runs every product on the calling thread, and a row of a stack runs
+    exactly the products a single vector runs.
     """
-    rows, dim = measured.shape
+    rows, dim = u.shape
+    measured, tilt = u, None
+    if axis != 0.0:
+        measured = np.empty_like(u)
+        _, tilt = _bind_kick(measured, scratch, n_sites, 0.5 * axis, source=u)
     low, high = _zsum_tables(n_sites)
     size = low.shape[0]
     chunks = 2 * dim // size
@@ -176,6 +187,8 @@ def _bind_measure(
     pairs = partial.reshape(rows, 1, 2 * chunks)
 
     def measure(out: np.ndarray) -> None:
+        if tilt is not None:
+            tilt()
         np.square(floats, out=squared)
         np.matmul(chunked, low, out=stacked)
         np.matmul(pairs, high, out=out)
@@ -189,21 +202,12 @@ def measure_magnetization(
     """Total magnetization along cos(axis) z + sin(axis) y.
 
     Measured as evolve_scan measures: the state over i**popcount(b)
-    (exact, every factor is +-1 or +-i) is the kick's real-frame state;
-    the real kick kernel at angle axis/2, which is exp(-i axis/2 sum_k X_k)
-    in that frame, turns the tilted axis into z, after which the
-    observable is diagonal and is summed from the squared floats.  The
-    state is never written.
+    (exact, every factor is +-1 or +-i) is the kick's real-frame state,
+    which _bind_measure reads.  The state is never written.
     """
-    work = np.divide(state, _quarter_turns(n_sites)).reshape(1, -1)
-    scratch = np.empty_like(work)
-    if axis != 0.0:
-        rotated = np.empty_like(work)
-        _, tilt = _bind_kick(rotated, scratch, n_sites, 0.5 * axis, source=work)
-        tilt()
-        work = rotated
+    u = np.divide(state, _quarter_turns(n_sites)).reshape(1, -1)
     out = np.empty((1, 1, 2))
-    _bind_measure(work, scratch, n_sites)(out)
+    _bind_measure(u, np.empty_like(u), n_sites, axis)(out)
     return float(out[0, 0, 1])
 
 
@@ -257,25 +261,19 @@ def evolve_scan(
     h = 0 takes identity blocks, which leave every amplitude's value as
     it is.
 
-    All buffers are allocated once per evolution: u, the kernel's
-    scratch and, for a tilted measurement, the rotated state, each one
-    row per h.  The kick is bound once to u and the scratch: the zz
-    multiply writes into its entry buffer and the kick leaves the result
-    in u.  The tilted measurement is bound once to the rotated state and
-    the same scratch, with its first site group reading u in place; it
-    runs the same kernel at angle axis/2, which is rotate_x_all_sites
-    without its phases, and leaves u as it is.  The measurement squares
-    the float64 view of the measured amplitudes into the whole float64
-    view of the scratch, which holds nothing between a kick and the
-    next zz multiply, and reduces the squares with one product per
-    stack of chunks against a (C, 2) table, then one per row against a
-    per-chunk table (_bind_measure).
+    All buffers are allocated once per evolution: u and the kernel's
+    scratch, one row per h, and what _bind_measure allocates for the
+    axis.  The measurement is bound once to u and the scratch, which
+    holds nothing between a kick and the next zz multiply, and leaves u
+    as it is.  The kick is bound once to the same two: the zz multiply
+    writes into its entry buffer and the kick leaves the result in u.
 
-    Each period writes its squared norm and magnetization into one
-    record of rows x (2 * periods + 1) floats; the values and the norms
-    are read from it after the loop, and the norms are checked there: a
-    drift beyond NORM_TOL in any row raises, naming the first period it
-    shows in, rather than returning silently wrong data.
+    The measurement of period n, n = 0..M, writes its squared norm and
+    magnetization into slot n of one (rows, M + 1, 1, 2) record; the
+    values and the norms are views of it, and the norms of periods 1..M
+    are checked after the loop: a drift beyond NORM_TOL in any row
+    raises, naming the first period it shows in, rather than returning
+    silently wrong data.
     """
     angles = tuple(replace(op.params, h=h).theta_h for h in h_values)
     if not angles:
@@ -287,37 +285,25 @@ def evolve_scan(
     if v.shape != (op.lattice.dim,):
         raise ValueError(f"state must have shape ({op.lattice.dim},), got {v.shape}")
     rows = len(angles)
-    # the buffers before any table that this call builds and caches: the
-    # table then sits above them in the heap, so that freeing them does
-    # not hand their pages back to the system for the next call to fault in
+    # the buffers, the measurement's too, before any table that this call
+    # builds and caches: the table then sits above them in the heap, so
+    # that freeing them does not hand their pages back to the system for
+    # the next call to fault in
     u = np.empty((rows, v.size), dtype=complex)
     scratch = np.empty_like(u)
-    measured = u if axis == 0.0 else np.empty_like(u)
+    measure = _bind_measure(u, scratch, n, axis)
     # conj(Q) v, exactly, without a conjugated copy of Q
     np.divide(v, _quarter_turns(n), out=u)
     entry, kick = _bind_kick(u, scratch, n, angles)
-    if axis != 0.0:
-        _, tilt = _bind_kick(measured, scratch, n, 0.5 * axis, source=u)
-    measure_sums = _bind_measure(measured, scratch, n)
-
-    def measure(out: np.ndarray) -> None:
-        if axis != 0.0:
-            tilt()
-        measure_sums(out)
-
-    # [m_0, |u_1|**2, m_1, ..., |u_M|**2, m_M] per row: period n >= 1
-    # writes its pair at 2n - 1; the squared norm at n = 0 is not kept
-    record = np.empty((rows, 2 * periods + 1))
-    first = np.empty((rows, 1, 2))
-    measure(first)
-    record[:, 0] = first[:, 0, 1]
-    slots = record[:, 1:].reshape(rows, periods, 1, 2)
-    for step in range(periods):
+    # (squared norm, magnetization) of each row after periods 0..M
+    record = np.empty((rows, periods + 1, 1, 2))
+    measure(record[:, 0])
+    for step in range(1, periods + 1):
         np.multiply(op.zz_phase, u, out=entry)
         kick()
-        measure(slots[:, step])
+        measure(record[:, step])
     record.setflags(write=False)
-    values, norms_sq = record[:, 0::2], record[:, 1::2]
+    values, norms_sq = record[:, :, 0, 1], record[:, 1:, 0, 0]
     drift = np.sqrt(norms_sq)
     drift -= 1.0
     np.abs(drift, out=drift)

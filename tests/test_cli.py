@@ -401,6 +401,21 @@ def test_artifact_mode_follows_umask(tmp_path, umask):
         os.umask(previous)
 
 
+def test_artifact_leaves_process_umask_alone(tmp_path, monkeypatch):
+    """The kernel applies the umask to the temporary file, so writing an
+    artifact never sets the umask of the process, not even for a moment
+    in which another thread's new file would take the wrong mode."""
+    def refuse(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    out = tmp_path / "out.csv"
+    monkeypatch.setattr(os, "umask", refuse)
+    assert cli.main(["phase1d", "--out", str(out), "--h-values", "1.2", "--j-values", "0.7"]) == 0
+    monkeypatch.undo()
+    assert out.read_text().startswith("# spinladder phase1d\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 def test_config_file_with_flag_override(tmp_path):
     config_path = tmp_path / "run.json"
     config_path.write_text(json.dumps({

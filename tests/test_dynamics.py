@@ -137,8 +137,10 @@ def test_magnetization_matches_dense_operator(theta, axis):
 def test_measurement_matches_elementwise_sums(n):
     """The products against the chunk tables give the elementwise sums
     to rounding: the squared norm and the z magnetization of a random
-    state, and its magnetization along a tilted axis.  From 16 sites on
-    a row's chunks take more than one product."""
+    state, and its magnetization along a tilted axis, which the tilted
+    binding gives bit for bit as measure_magnetization does, without
+    writing its input.  From 16 sites on a row's chunks take more than
+    one product."""
     rng = np.random.default_rng(n)
     dim = 1 << n
     state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -154,6 +156,10 @@ def test_measurement_matches_elementwise_sums(n):
     assert measure_magnetization(state, n, 0.9) == pytest.approx(
         float(np.abs(tilted) ** 2 @ z), abs=1e-13 * n
     )
+    before = real.copy()
+    dynamics._bind_measure(real, np.empty_like(real), n, 0.9)(sums)
+    assert sums[0, 0, 1] == measure_magnetization(state, n, 0.9)
+    assert np.array_equal(real, before)
 
 
 def test_trivial_drive_keeps_trace_constant():

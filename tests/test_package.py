@@ -1,7 +1,9 @@
 """The public surface of the package."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import spinladder
 
@@ -29,7 +31,10 @@ spectrum = diagonalize(build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 
 corner_spectral_functions(spectrum, lat, SpectralFunctionConfig(chi=16, window=0.01))
 print('scipy' in sys.modules, 'numpy.ma' in sys.modules)
 """
+    env = dict(os.environ)
+    src = str(Path(spinladder.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", check], capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-c", check], capture_output=True, text=True, check=True, timeout=60, env=env
     )
     assert result.stdout.strip() == "False False"

@@ -15,8 +15,9 @@ evolve_scan evolves one state under one operator at several kick fields
 h, as one (rows, D) stack with one row per h that shares the zz phase;
 each row equals the single evolution at its h bit for bit, and
 evolve_stroboscopic is the one-row case.  An evolution never writes its
-input, allocates and binds its workspace once, and runs every period in
-the kick's real frame: the zz multiply into the kick's entry buffer,
+input, takes its buffers from its thread's workspace, which the next
+evolution of the same shape in that thread reuses, binds them once, and
+runs every period in the kick's real frame: the zz multiply into the kick's entry buffer,
 then the real kick kernel, with no quarter-turn phase passes, since
 |Q x| = |x| for the exact phase diagonal Q that separates the frame
 from the state.  The measurement squares the floats into the kick's
@@ -34,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -44,7 +46,7 @@ from .floquet import (
     FloquetOperator,
     NumericalToleranceError,
     _bind_kick,
-    _quarter_turns,
+    _quarter_turn,
 )
 from .lattice import Lattice
 
@@ -149,7 +151,11 @@ def _zsum_tables(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bind_measure(
-    u: np.ndarray, scratch: np.ndarray, n_sites: int, axis: float = 0.0
+    u: np.ndarray,
+    scratch: np.ndarray,
+    n_sites: int,
+    axis: float = 0.0,
+    rotated: np.ndarray | None = None,
 ) -> Callable[[np.ndarray], None]:
     """Bind the measurement along cos(axis) z + sin(axis) y of each row
     of the complex, contiguous (rows, D) stack ``u`` of real-frame
@@ -158,10 +164,11 @@ def _bind_measure(
 
     ``scratch`` is a complex, contiguous array shaped like ``u`` and
     overwritten by each call, and ``out`` an array of shape (rows, 1, 2)
-    whose last axis is contiguous.  A tilted axis allocates one more
-    buffer shaped like ``u``, the rotated state: the real kick kernel at
-    angle axis/2, which is exp(-i axis/2 sum_k X_k) in the real frame,
-    reads ``u`` in place and turns the tilted axis into z.  The float64
+    whose last axis is contiguous.  A tilted axis needs one more such
+    buffer, ``rotated``, which the caller passes or, when it is None,
+    the binding allocates: it takes the rotated state, as the real kick
+    kernel at angle axis/2, which is exp(-i axis/2 sum_k X_k) in the
+    real frame, reads ``u`` in place and turns the tilted axis into z.  The float64
     view of the measured state is then squared into the float64 view of
     ``scratch``; one np.matmul reduces each stack of chunks against the
     (C, 2) table of _zsum_tables, and one more per row the chunks' pairs
@@ -173,7 +180,7 @@ def _bind_measure(
     rows, dim = u.shape
     measured, tilt = u, None
     if axis != 0.0:
-        measured = np.empty_like(u)
+        measured = np.empty_like(u) if rotated is None else rotated
         _, tilt = _bind_kick(measured, scratch, n_sites, 0.5 * axis, source=u)
     low, high = _zsum_tables(n_sites)
     size = low.shape[0]
@@ -196,6 +203,28 @@ def _bind_measure(
     return measure
 
 
+#: the calling thread's evolution workspace, kept for its next evolution
+_held = threading.local()
+
+
+def _workspace(count: int, rows: int, dim: int) -> np.ndarray:
+    """``count`` complex, contiguous (rows, dim) buffers, as one
+    (count, rows, dim) array.
+
+    Each thread holds at most one workspace: the last one it asked for.
+    A request of the same row shape and at most as many buffers reuses
+    it, so an evolution faults in no fresh pages and allocates no
+    D-sized buffer when the one before it in the same thread had its
+    shape; any other request frees it before allocating its own.
+    """
+    buffers = getattr(_held, "buffers", None)
+    if buffers is None or buffers.shape[1:] != (rows, dim) or len(buffers) < count:
+        # drop the old workspace before the new one is allocated
+        _held.buffers = buffers = None
+        _held.buffers = buffers = np.empty((count, rows, dim), dtype=complex)
+    return buffers[:count]
+
+
 def measure_magnetization(
     state: np.ndarray, n_sites: int, axis: float = 0.0
 ) -> float:
@@ -205,7 +234,8 @@ def measure_magnetization(
     (exact, every factor is +-1 or +-i) is the kick's real-frame state,
     which _bind_measure reads.  The state is never written.
     """
-    u = np.divide(state, _quarter_turns(n_sites)).reshape(1, -1)
+    u = np.empty((1, np.size(state)), dtype=complex)
+    _quarter_turn(np.divide, np.asarray(state), n_sites, u)
     out = np.empty((1, 1, 2))
     _bind_measure(u, np.empty_like(u), n_sites, axis)(out)
     return float(out[0, 0, 1])
@@ -261,12 +291,16 @@ def evolve_scan(
     h = 0 takes identity blocks, which leave every amplitude's value as
     it is.
 
-    All buffers are allocated once per evolution: u and the kernel's
-    scratch, one row per h, and what _bind_measure allocates for the
-    axis.  The measurement is bound once to u and the scratch, which
-    holds nothing between a kick and the next zz multiply, and leaves u
-    as it is.  The kick is bound once to the same two: the zz multiply
-    writes into its entry buffer and the kick leaves the result in u.
+    The buffers, one row per h, come from the calling thread's
+    workspace (_workspace): u, the kernel's scratch and, for a tilted
+    axis, the rotated state of the measurement.  The next evolution of
+    the same shape in the same thread reuses them, so it allocates no
+    buffer of size D and faults in no fresh pages; threads never share
+    a workspace.  The measurement is bound once to u and the scratch,
+    which holds nothing between a kick and the next zz multiply, and
+    leaves u as it is.  The kick is bound once to the same two: the zz
+    multiply writes into its entry buffer and the kick leaves the result
+    in u.
 
     The measurement of period n, n = 0..M, writes its squared norm and
     magnetization into slot n of one (rows, M + 1, 1, 2) record; the
@@ -285,15 +319,10 @@ def evolve_scan(
     if v.shape != (op.lattice.dim,):
         raise ValueError(f"state must have shape ({op.lattice.dim},), got {v.shape}")
     rows = len(angles)
-    # the buffers, the measurement's too, before any table that this call
-    # builds and caches: the table then sits above them in the heap, so
-    # that freeing them does not hand their pages back to the system for
-    # the next call to fault in
-    u = np.empty((rows, v.size), dtype=complex)
-    scratch = np.empty_like(u)
-    measure = _bind_measure(u, scratch, n, axis)
+    u, scratch, *rotated = _workspace(3 if axis != 0.0 else 2, rows, v.size)
+    measure = _bind_measure(u, scratch, n, axis, *rotated)
     # conj(Q) v, exactly, without a conjugated copy of Q
-    np.divide(v, _quarter_turns(n), out=u)
+    _quarter_turn(np.divide, v, n, u)
     entry, kick = _bind_kick(u, scratch, n, angles)
     # (squared norm, magnetization) of each row after periods 0..M
     record = np.empty((rows, periods + 1, 1, 2))

@@ -10,12 +10,14 @@ so the interaction half acts first on a state.  U_zz is diagonal in the
 computational basis and the kick factorizes over sites.  That gives a
 matrix-free apply(): one elementwise multiply, then the kick in a real
 frame, exp(-i theta X) = S exp(i theta Y) S^dagger with S = diag(1, i).
-rotate_x_all_sites multiplies by an exact quarter-turn phase per basis
-state, runs the real kernel (one matmul per group of KICK_BLOCK_SITES
-sites with the cached kron power of exp(i theta Y) on the float64 view
-of the state, alternating with a scratch buffer and ending in the
-state), and multiplies the phase back, O(2**N * 2**KICK_BLOCK_SITES)
-per period.  The kernel takes one angle for every state or one angle
+rotate_x_all_sites divides by the exact quarter-turn phase
+i**popcount(b) of each basis state b, one cached factor for the high
+and one for the low bits, each of O(2**(N/2)) entries, runs the real
+kernel (one matmul per group of KICK_BLOCK_SITES sites with the cached
+kron power of exp(i theta Y) on the float64 view of the state,
+alternating with a scratch buffer and ending in the state), and
+multiplies the two factors back, O(2**N * 2**KICK_BLOCK_SITES) per
+period.  The kernel takes one angle for every state or one angle
 per row of a stack; its blocks are cached per tuple of angles, stacked
 along a leading row axis, with the lowest group's block stored
 transposed so that its gemm runs NN.  Every gemm stays below
@@ -175,11 +177,42 @@ def _stacked_blocks(angles: tuple[float, ...], n_sites: int) -> tuple[np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
-def _quarter_turns(n_sites: int) -> np.ndarray:
-    """i**popcount(b) for every basis index b, the diagonal of prod_k S_k."""
-    idx = np.arange(1 << n_sites, dtype=np.uint64)
-    out = np.array([1, 1j, -1, -1j])[np.bitwise_count(idx) % 4]
-    out.setflags(write=False)
+def _quarter_factors(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """i**popcount over the high and over the low bits of a basis index.
+
+    With L = n_sites // 2 low sites, b = 2**L h + l and i**popcount(b),
+    the diagonal of prod_k S_k, is high[h, 0] * low[l]: ``high`` is a
+    (2**(n_sites - L), 1) column and ``low`` a (2**L,) row, together
+    O(2**(n_sites / 2)) entries.
+    """
+    turns = np.array([1, 1j, -1, -1j])
+    low_sites = n_sites // 2
+    high, low = (
+        turns[np.bitwise_count(np.arange(1 << width, dtype=np.uint64)) % 4]
+        for width in (n_sites - low_sites, low_sites)
+    )
+    high = high[:, np.newaxis]
+    for table in (high, low):
+        table.setflags(write=False)
+    return high, low
+
+
+def _quarter_turn(ufunc: np.ufunc, state: np.ndarray, n_sites: int, out: np.ndarray) -> np.ndarray:
+    """Write ufunc(state, i**popcount(b)) into the contiguous ``out`` and
+    return it, for ufunc np.divide or np.multiply.
+
+    ``state`` is one vector or a stack along the last axis, and ``out``
+    has its shape or a stack of it.  Both are viewed as (..., high rows,
+    low columns) and taken through the two factors of _quarter_factors
+    in turn, so nothing of size 2**n_sites is built.  Every factor is
+    +-1 or +-i, so each step is exact and every amplitude gets the value
+    of one pass by the full phase; only the sign of a zero part can
+    differ.
+    """
+    high, low = _quarter_factors(n_sites)
+    view = out.reshape(*out.shape[:-1], high.size, low.size)
+    ufunc(state.reshape(*state.shape[:-1], high.size, low.size), high, out=view)
+    ufunc(view, low, out=view)
     return out
 
 
@@ -254,17 +287,17 @@ def rotate_x_all_sites(state: np.ndarray, n_sites: int, angle: float) -> np.ndar
     S = diag(1, i), exp(-i angle X) = S exp(i angle Y) S^dagger, and
     exp(i angle Y) is real.  So the state times the phase
     conj(i**popcount(b)) of prod_k S_k^dagger, formed as the state over
-    i**popcount(b) (exact: every factor is +-1 or +-i), goes into the
-    kernel's entry buffer, the real kick kernel runs with a fresh scratch
-    buffer and leaves its result in ``state``, and the phase
-    i**popcount(b) is multiplied back.  At angle 0 the kernel's blocks
-    are identities, so every amplitude keeps its value.
+    the two factors of i**popcount(b) in turn (_quarter_turn, exact:
+    every factor is +-1 or +-i), goes into the kernel's entry buffer,
+    the real kick kernel runs with a fresh scratch buffer and leaves its
+    result in ``state``, and the two factors are multiplied back.  At
+    angle 0 the kernel's blocks are identities, so every amplitude keeps
+    its value.
     """
-    quarter = _quarter_turns(n_sites)
     entry, kick = _bind_kick(state, np.empty_like(state), n_sites, angle)
-    np.divide(state, quarter, out=entry)
+    _quarter_turn(np.divide, state, n_sites, entry)
     kick()
-    return np.multiply(state, quarter, out=state)
+    return _quarter_turn(np.multiply, state, n_sites, state)
 
 
 @dataclass(frozen=True)
@@ -302,20 +335,26 @@ def build_floquet(
     """Assemble the one-period propagator.
 
     Only the diagonal interaction phase is precomputed; apply() works
-    from it and the kick angle.  ``materialize_dense`` also builds the
+    from it and the kick angle.  It is built in place in the complex
+    result: bond by bond, theta times the bond's Z_a Z_b eigenvalue is
+    added to the imaginary parts through a strided view whose axes are
+    the bond's two bits, then np.exp runs in place, so the build makes
+    no temporary of size 2**N.  ``materialize_dense`` also builds the
     full 2**N x 2**N matrix as a kron product of single-site kicks
     (refused above DENSE_SITE_CAP sites), an oracle independent of the
     blocked kick kernel.
     """
-    dim = lattice.dim
-    idx = np.arange(dim)
-    accum = np.zeros(dim)
+    n = lattice.n_sites
+    zz_phase = np.zeros(lattice.dim, dtype=complex)
+    accum = zz_phase.imag
     for a, b, axis in lattice.bonds:
         theta = params.theta_x if axis == "x" else params.theta_y
-        # Z_a Z_b eigenvalue: +1 when bits a and b agree
-        zz = 1.0 - 2.0 * (((idx >> a) ^ (idx >> b)) & 1)
-        accum += theta * zz
-    zz_phase = np.exp(1j * accum)
+        # axes 1 and 3 are bits hi and lo of the basis index, and the
+        # Z_a Z_b eigenvalue is +1 where they agree
+        lo, hi = sorted((a, b))
+        pairs = accum.reshape(1 << (n - 1 - hi), 2, 1 << (hi - lo - 1), 2, 1 << lo)
+        pairs += theta * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, np.newaxis, :, np.newaxis]
+    np.exp(zz_phase, out=zz_phase)
     zz_phase.setflags(write=False)
 
     dense = None

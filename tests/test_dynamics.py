@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +300,32 @@ def test_scan_names_first_drifted_period():
         evolve_scan(op, (0.3, 0.5), 0.9 * state, periods=5)
 
 
+def test_threads_never_share_a_workspace():
+    """Two threads run tilted scans of the same (rows, D) shape at
+    different h at the same time; each gets the traces and norm drifts
+    of the same call made alone, bit for bit."""
+    lat = make_lattice(1, 12)
+    op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.8, 2.0))
+    state = prepare_state(lat, uniform_tilt(12, math.pi / 4))
+    scans = [
+        [DriveParams.from_pi_over_t(0.05, 0.6, h, 2.0).h for h in hs]
+        for hs in ((0.7, 0.9), (0.8, 1.0))
+    ]
+    alone = [evolve_scan(op, fields, state, 300, math.pi / 4) for fields in scans]
+    start = threading.Barrier(len(scans))
+
+    def scan(fields):
+        start.wait()
+        return evolve_scan(op, fields, state, 300, math.pi / 4)
+
+    with ThreadPoolExecutor(len(scans)) as pool:
+        together = list(pool.map(scan, scans))
+    for traces, reference in zip(together, alone):
+        for trace, single in zip(traces, reference):
+            assert np.array_equal(trace.values, single.values)
+            assert trace.max_norm_drift == single.max_norm_drift
+
+
 def test_trace_records_norm_drift():
     lat = make_lattice(1, 8)
     op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.9, 2.0))
@@ -323,13 +351,14 @@ def wait_for_quiet():
 
 ONE_CORE_SCRIPT = QUIET_PRELUDE + """
 import math, resource
-from spinladder.dynamics import evolve_stroboscopic, prepare_state, uniform_tilt
+from spinladder.dynamics import evolve_stroboscopic, measure_magnetization, prepare_state, uniform_tilt
 from spinladder.floquet import DriveParams, build_floquet
 from spinladder.lattice import make_lattice
 
 lat = make_lattice(1, 16)
 op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.9, 2.0))
 state = prepare_state(lat, uniform_tilt(16, math.pi / 4))
+{warm_up}
 evolve_stroboscopic(op, state, 2, axis=math.pi / 4)
 periods = 30
 wait_for_quiet()
@@ -463,13 +492,25 @@ def assert_one_core(ratio):
     assert ratio <= 1.3, f"CPU time is {ratio:.2f} x wall time"
 
 
-def test_evolution_stays_on_one_core():
+@pytest.mark.parametrize(
+    "warm_up",
+    [
+        "",
+        "op.apply(state)",
+        "measure_magnetization(state, 16, math.pi / 4)",
+        "op.apply(state); measure_magnetization(state, 16, math.pi / 4)",
+    ],
+    ids=["none", "apply", "measure", "both"],
+)
+def test_evolution_stays_on_one_core(warm_up):
     """A tilted 1x16 evolution allocates its buffers once, not per
     period: each fresh 1 MiB state per period would cost 256 minor page
-    faults whenever the allocator has handed the pages back.  At two
-    OpenBLAS threads no gemm of the kick and no norm or measurement sum
-    wakes the second thread."""
-    ratio, faults = run_at_two_blas_threads(ONE_CORE_SCRIPT)
+    faults whenever the allocator has handed the pages back.  The next
+    evolution of the same shape reuses them, whatever ran before the
+    first one, so it faults in no fresh pages either.  At two OpenBLAS
+    threads no gemm of the kick and no norm or measurement sum wakes the
+    second thread."""
+    ratio, faults = run_at_two_blas_threads(ONE_CORE_SCRIPT.format(warm_up=warm_up))
     assert faults <= 8, f"{faults:.1f} minor page faults per period"
     assert_one_core(ratio)
 

@@ -25,7 +25,7 @@ from spinladder.floquet import (
     spacing_stats,
     symmetry_group,
 )
-from spinladder.floquet import KICK_BLOCK_SITES, _kick_blocks, _quarter_turns, _unitary_eig
+from spinladder.floquet import KICK_BLOCK_SITES, _kick_blocks, _quarter_turn, _unitary_eig
 from spinladder.lattice import SizeCapError, make_lattice
 from spinladder.majorana import corner_modes, mode_residual
 
@@ -76,7 +76,7 @@ def test_real_block_conjugates_to_complex_kick(width):
     # an upper group of ``width`` sites takes R^w itself
     real = _kick_blocks(theta, KICK_BLOCK_SITES + width)[1]
     assert real.dtype == np.float64
-    phase = _quarter_turns(width)
+    phase = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(1 << width)) % 4]
     conjugated = phase[:, np.newaxis] * real * phase.conj()[np.newaxis, :]
     np.testing.assert_allclose(conjugated, complex_block, rtol=0, atol=1e-15)
 
@@ -103,6 +103,64 @@ def test_rotate_x_matches_expm():
         w = v.copy()
         assert rotate_x_all_sites(w, n, theta) is w
         np.testing.assert_allclose(w, expected @ v, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_quarter_turn_matches_full_phase(n):
+    """The two factors of the phase i**popcount(b), taken one after the
+    other, give the floats of one division or one product by the full
+    phase, bit for bit on parts that are not zero (a random state has
+    none), on one vector and on a stack of three."""
+    full = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(1 << n)) % 4]
+    rng = np.random.default_rng(n)
+    for shape in ((1 << n,), (3, 1 << n)):
+        state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for ufunc in (np.divide, np.multiply):
+            out = np.empty_like(state)
+            assert _quarter_turn(ufunc, state, n, out) is out
+            want = ufunc(state, full)
+            assert np.array_equal(out.view(np.uint64), want.view(np.uint64)), (shape, ufunc)
+
+
+def per_bond_zz_phase(lattice, params):
+    """exp(i sum_bonds theta Z_a Z_b), summed bond by bond over the whole
+    basis with a fresh Z_a Z_b eigenvalue array per bond."""
+    idx = np.arange(lattice.dim)
+    accum = np.zeros(lattice.dim)
+    for a, b, axis in lattice.bonds:
+        theta = params.theta_x if axis == "x" else params.theta_y
+        accum += theta * (1.0 - 2.0 * (((idx >> a) ^ (idx >> b)) & 1))
+    return np.exp(1j * accum)
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        make_lattice(n_x, n_y, bc_x="periodic", bc_y="periodic", dedup_coincident_bonds=dedup)
+        for n_x, n_y in ((1, 2), (2, 1), (2, 2))
+        for dedup in (True, False)
+    ]
+    + [
+        make_lattice(3, 2),
+        make_lattice(3, 3, bc_y="periodic"),
+        make_lattice(1, 16),
+    ],
+    ids=lambda lat: f"{lat.n_x}x{lat.n_y}-{lat.bc_x}-{lat.bc_y}-{lat.dedup_coincident_bonds}",
+)
+def test_zz_phase_matches_per_bond_formula(lattice):
+    """build_floquet sums the same bond terms in the same order in place:
+    its phase equals the per-bond formula bit for bit, signs of zeros
+    included, at zero, negative and mixed couplings."""
+    for params in (
+        DriveParams.from_pi_over_t(0.05, 0.6, 0.8, 2.0),
+        DriveParams(j_x=-0.7, j_y=0.3, h=0.1, period=3.0),
+        DriveParams(j_x=0.0, j_y=-0.0, h=0.3, period=1.0),
+    ):
+        got = build_floquet(lattice, params).zz_phase
+        want = per_bond_zz_phase(lattice, params)
+        assert np.array_equal(got, want)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
 
 
 def test_two_site_propagator_matches_expm():

@@ -232,12 +232,15 @@ def measure_magnetization(
 
     Measured as evolve_scan measures: the state over i**popcount(b)
     (exact, every factor is +-1 or +-i) is the kick's real-frame state,
-    which _bind_measure reads.  The state is never written.
+    which _bind_measure reads.  The state is never written.  Its
+    buffers (u, the scratch and, for a tilted axis, the rotated state)
+    come from the calling thread's workspace, as evolve_scan's do, so a
+    repeated call allocates no buffer of size D.
     """
-    u = np.empty((1, np.size(state)), dtype=complex)
+    u, scratch, *rotated = _workspace(3 if axis != 0.0 else 2, 1, np.size(state))
     _quarter_turn(np.divide, np.asarray(state), n_sites, u)
     out = np.empty((1, 1, 2))
-    _bind_measure(u, np.empty_like(u), n_sites, axis)(out)
+    _bind_measure(u, scratch, n_sites, axis, *rotated)(out)
     return float(out[0, 0, 1])
 
 

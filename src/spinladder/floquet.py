@@ -85,6 +85,11 @@ KICK_BLOCK_SITES = 4
 #: 1x16 evolution ran 20 to 30 % slower
 KICK_GEMM_MACS = 1 << 17
 
+#: amplitudes of the stack of unit vectors that diagonalize applies U to
+#: at once (256 KiB of complex values): max(1, this // D) representatives
+#: per stack, so above 2**14 states one at a time
+_PROJECTION_AMPLITUDES = 1 << 14
+
 
 class NumericalToleranceError(RuntimeError):
     """A numerical guarantee (unitarity, eigenpair residual, norm) failed."""
@@ -631,11 +636,16 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
         U_k[a, b] = <r_a, k| U |r_b, k>
                   = sum_g chi_k(g) U[g r_a, r_b] / sqrt(S_a S_b).
 
-    One apply() on the stack of unit vectors at the n orbit
-    representatives gives U|r_b> for every b (the dense matrix is
-    neither needed nor read).  Its amplitudes at the images g r_a,
-    weighted by the characters, give every factorized block in one
-    product, and each block is factorized on its own.
+    apply() on stacks of unit vectors at the orbit representatives, in
+    their order and at most _PROJECTION_AMPLITUDES amplitudes per stack
+    (at least one representative), gives U|r_b> for every b (the dense
+    matrix is neither needed nor read).  A stack's amplitudes at the
+    images g r_a, weighted by the characters, give its columns of every
+    factorized block in one product, and the stack is freed before the
+    next one is applied.  Each row of a stack equals a single-vector
+    apply bit for bit and the character product is one gemm per
+    representative, so no entry depends on the stack size.  Each block
+    is factorized on its own and dropped as soon as it is.
 
     Time reversal halves the factorizations.  U = K Z with the kick K
     and the diagonal zz phase Z both symmetric, so U^T = K^-1 U K: if
@@ -677,21 +687,31 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
     sectors = [k for k, keep in enumerate(group.kept) if keep.size]
     factored = [k for k in sectors if k <= partners[k]]
 
-    basis = np.zeros((reps.size, op.lattice.dim), dtype=complex)
-    basis[np.arange(reps.size), reps] = 1.0
-    # columns[b, x] = U[x, r_b]
-    columns = op.apply(basis)
-    del basis
-    # blocks[b, i, a] = sum_g chi_k(g) U[g r_a, r_b] for sector k = factored[i]
-    blocks = group.characters[factored] @ columns[:, group.images[:, reps]]
-    del columns
+    dim = op.lattice.dim
+    characters = group.characters[factored]
+    images = group.images[:, reps]
+    # blocks[k][a, b] = U_k[a, b] over the positions a, b in group.kept[k]
+    blocks = {k: np.empty((group.kept[k].size,) * 2, dtype=complex) for k in factored}
+    norms = {k: np.sqrt(stab_sums[k, group.kept[k]]) for k in factored}
+    step = max(1, _PROJECTION_AMPLITUDES // dim)
+    for lo in range(0, reps.size, step):
+        hi = min(lo + step, reps.size)
+        basis = np.zeros((hi - lo, dim), dtype=complex)
+        basis[np.arange(hi - lo), reps[lo:hi]] = 1.0
+        # sums[j, i, a] = sum_g chi_k(g) U[g r_a, r_b] for b = lo + j, k = factored[i]
+        sums = characters @ op.apply(basis)[:, images]
+        for i, k in enumerate(factored):
+            keep, norm = group.kept[k], norms[k]
+            # the kept b in [lo, hi) fill a contiguous run of the block's columns
+            cols = slice(*np.searchsorted(keep, (lo, hi)))
+            blocks[k][:, cols] = sums[keep[cols] - lo, i][:, keep].T / np.outer(norm, norm[cols])
+        # freed before the next stack is built
+        del basis, sums
 
     factors = {}  # sector label: (eigenvectors, eigenvalues, residuals)
-    for i, k in enumerate(factored):
-        keep = group.kept[k]
-        norm = np.sqrt(stab_sums[k, keep])
-        block = blocks[:, i].T[np.ix_(keep, keep)] / np.outer(norm, norm)
-        lam, q_mat, residuals = _unitary_eig(block)
+    for k in factored:
+        # the block is dropped as soon as it is factorized
+        lam, q_mat, residuals = _unitary_eig(blocks.pop(k))
         modulus_dev = np.abs(np.abs(lam) - 1.0)
         if modulus_dev.max() > RESIDUAL_TOL:
             raise NumericalToleranceError(
@@ -704,7 +724,6 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
                 f"{RESIDUAL_TOL:.1e} in sector {k}"
             )
         factors[k] = (q_mat, lam, residuals)
-    del blocks
 
     # sector k copies the levels of the factored one of k and -k
     sizes = [group.kept[k].size for k in sectors]

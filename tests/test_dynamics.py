@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -162,6 +163,25 @@ def test_measurement_matches_elementwise_sums(n):
     dynamics._bind_measure(real, np.empty_like(real), n, 0.9)(sums)
     assert sums[0, 0, 1] == measure_magnetization(state, n, 0.9)
     assert np.array_equal(real, before)
+
+
+@pytest.mark.parametrize("axis", [0.0, 0.9])
+def test_repeated_measurement_allocates_no_state_buffer(axis):
+    """measure_magnetization takes its buffers from the thread's
+    workspace, so a second call on a 1x16 state allocates less than a
+    quarter of one buffer of D complex values and reads the same value."""
+    n = 16
+    rng = np.random.default_rng(7)
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    first = measure_magnetization(state, n, axis)
+    tracemalloc.start()
+    try:
+        second = measure_magnetization(state, n, axis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    assert peak < 0.25 * 16 * state.size, f"traced peak {peak} bytes"
 
 
 def test_trivial_drive_keeps_trace_constant():

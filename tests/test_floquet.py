@@ -9,6 +9,7 @@ import scipy.linalg
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from spinladder import floquet
 from spinladder.floquet import (
     MIRROR_ANGLE,
     RESIDUAL_TOL,
@@ -404,6 +405,51 @@ def test_diagonalize_holds_no_dense_matrix(n_x, n_y):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * 16 * lat.dim**2
+
+
+@pytest.mark.parametrize(
+    "n_x,n_y,bc",
+    [(3, 2, "open"), (4, 2, "periodic"), (1, 8, "periodic"), (3, 3, "periodic-open"), (1, 10, "open")],
+)
+def test_projection_chunks_change_no_bit(monkeypatch, n_x, n_y, bc):
+    """diagonalize applies U to a stack of at most _PROJECTION_AMPLITUDES
+    amplitudes at a time.  One representative per stack and all of them
+    in one stack give the same spectrum bit for bit: apply's rows equal
+    single-vector applies, and the character product is one gemm per
+    representative at any stack size."""
+    bc_x, bc_y = BOUNDARIES[bc]
+    lat = make_lattice(n_x, n_y, bc_x=bc_x, bc_y=bc_y, dedup_coincident_bonds=False)
+    op = build_floquet(lat, DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0))
+    spectra = []
+    for budget in (lat.dim, 1 << 40):
+        monkeypatch.setattr(floquet, "_PROJECTION_AMPLITUDES", budget)
+        spectra.append(diagonalize(op))
+    for field in ("quasienergies", "eigenvalues", "residuals", "labels", "sector_vectors"):
+        assert np.array_equal(getattr(spectra[0], field), getattr(spectra[1], field)), field
+
+
+@pytest.mark.parametrize(
+    "n_x,n_y,bc", [(1, 10, "open"), (5, 2, "open"), (5, 2, "periodic")]
+)
+def test_diagonalize_peak_stays_near_two_stacks(n_x, n_y, bc):
+    """U is applied to a bounded stack of representatives at a time and
+    each block is dropped once it is factorized, so the traced peak of
+    diagonalize stays within 2.25 stacks of n_reps x D complex values:
+    the eigenvectors of the factorized sectors and the sector_vectors
+    they are written into."""
+    bc_x, bc_y = BOUNDARIES[bc]
+    lat = make_lattice(n_x, n_y, bc_x=bc_x, bc_y=bc_y, dedup_coincident_bonds=False)
+    op = build_floquet(lat, DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0))
+    stack = symmetry_group(lat).reps.size * lat.dim * 16
+    # the first call binds LAPACK and fills the kick caches
+    diagonalize(op)
+    tracemalloc.start()
+    try:
+        diagonalize(op)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * stack, f"traced peak {peak / stack:.2f} stacks"
 
 
 def planted_unitary(alpha, seed=0):

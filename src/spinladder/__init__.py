@@ -31,8 +31,6 @@ from .floquet import (
     diagonalize,
     fold_quasienergy,
     rotate_x_all_sites,
-    solvable_point_spectrum_1x4,
-    solvable_point_spectrum_2x2,
     spacing_stats,
 )
 from .lattice import (
@@ -50,7 +48,6 @@ from .majorana import (
     corner_modes,
     corner_spectral_functions,
     gamma_pbc,
-    majorana,
     mode_residual,
     verify_dictionary,
 )
@@ -98,7 +95,6 @@ __all__ = [
     "evolve_stroboscopic",
     "fold_quasienergy",
     "gamma_pbc",
-    "majorana",
     "make_lattice",
     "measure_magnetization",
     "mode_residual",
@@ -109,8 +105,6 @@ __all__ = [
     "power_spectrum",
     "prepare_state",
     "rotate_x_all_sites",
-    "solvable_point_spectrum_1x4",
-    "solvable_point_spectrum_2x2",
     "spacing_stats",
     "transfer_matrix",
     "uniform_tilt",

@@ -592,7 +592,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         overrides = _collect_overrides(args)
         config = resolve_config(command, file_config, overrides)
-        run_command(command, copy.deepcopy(config))
+        run_command(command, config)
     except SizeCapError as exc:
         print(f"spinladder {command}: size cap: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP

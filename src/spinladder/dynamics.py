@@ -165,22 +165,21 @@ def _bind_measure(
     ``scratch`` is a complex, contiguous array shaped like ``u`` and
     overwritten by each call, and ``out`` an array of shape (rows, 1, 2)
     whose last axis is contiguous.  A tilted axis needs one more such
-    buffer, ``rotated``, which the caller passes or, when it is None,
-    the binding allocates: it takes the rotated state, as the real kick
-    kernel at angle axis/2, which is exp(-i axis/2 sum_k X_k) in the
-    real frame, reads ``u`` in place and turns the tilted axis into z.  The float64
-    view of the measured state is then squared into the float64 view of
-    ``scratch``; one np.matmul reduces each stack of chunks against the
-    (C, 2) table of _zsum_tables, and one more per row the chunks' pairs
-    against the per-chunk table.  The stacks are cut by the vector
-    length alone to at most KICK_GEMM_MACS multiply-adds, so OpenBLAS
-    runs every product on the calling thread, and a row of a stack runs
-    exactly the products a single vector runs.
+    buffer from the caller, ``rotated``: it takes the rotated state, as
+    the real kick kernel at angle axis/2, which is exp(-i axis/2 sum_k
+    X_k) in the real frame, reads ``u`` in place and turns the tilted
+    axis into z.  The float64 view of the measured state is then squared
+    into the float64 view of ``scratch``; one np.matmul reduces each
+    stack of chunks against the (C, 2) table of _zsum_tables, and one
+    more per row the chunks' pairs against the per-chunk table.  The
+    stacks are cut by the vector length alone to at most KICK_GEMM_MACS
+    multiply-adds, so OpenBLAS runs every product on the calling thread,
+    and a row of a stack runs exactly the products a single vector runs.
     """
     rows, dim = u.shape
     measured, tilt = u, None
     if axis != 0.0:
-        measured = np.empty_like(u) if rotated is None else rotated
+        measured = rotated
         _, tilt = _bind_kick(measured, scratch, n_sites, 0.5 * axis, source=u)
     low, high = _zsum_tables(n_sites)
     size = low.shape[0]

@@ -559,6 +559,7 @@ class QuasienergySpectrum:
         # gathered[g, a, c] = x[g(r_a), c]; sums[k, a, c] = sum_g chi_k(g) gathered[g, a, c]
         gathered = block[group.images[:, group.reps]]
         sums = np.tensordot(group.characters, gathered, axes=1)
+        del gathered
         out = np.empty(block.shape, dtype=complex)
         for k, keep in enumerate(group.kept):
             ranks = np.flatnonzero(self.labels == k)
@@ -746,9 +747,7 @@ def diagonalize(op: FloquetOperator) -> QuasienergySpectrum:
             zz = op.zz_phase[reps[keep], np.newaxis]
             sector_vectors[np.ix_(keep, ranks[partners[k]])] = (zz * q_mat).conj()
 
-    eps = np.ascontiguousarray(eps[order])
-    lam = np.ascontiguousarray(lam[order])
-    residuals = np.ascontiguousarray(residuals[order])
+    eps, lam, residuals = eps[order], lam[order], residuals[order]
     for arr in (eps, lam, residuals, labels, sector_vectors):
         arr.setflags(write=False)
     return QuasienergySpectrum(
@@ -792,53 +791,3 @@ def spacing_stats(spectrum: QuasienergySpectrum) -> SpacingStats:
     dev = np.abs(eps[half:] - eps[:half] - np.pi / spectrum.period)
     return SpacingStats(min_dev=float(dev.min()), max_dev=float(dev.max()))
 
-
-def _merge_levels(raw: list[float], period: float):
-    """Fold, sort and merge coincident levels into (value, multiplicity)."""
-    folded = sorted(float(fold_quasienergy(e, period)) for e in raw)
-    merged: list[tuple[float, int]] = []
-    for value in folded:
-        if merged and abs(value - merged[-1][0]) <= 1e-12:
-            merged[-1] = (merged[-1][0], merged[-1][1] + 1)
-        else:
-            merged.append((value, 1))
-    # levels 1e-12-close across the zone edge would be distinct physically,
-    # so no wrap-around merge is attempted
-    return merged
-
-
-def solvable_point_spectrum_1x4(j_y: float, period: float) -> list[tuple[float, int]]:
-    """Closed-form quasienergy levels of the 4-site chain at kick angle pi/2.
-
-    At theta_h = pi/2 the kick is a global spin flip (up to phase) and the
-    propagator is solved by cat states over each basis pair, giving the
-    levels -(j_y / 2) * sum_j s_j and their pi/T partners, s_j = +-1 over
-    the three interior bonds.  Returns folded (value, multiplicity) pairs.
-    """
-    w = np.pi / period
-    raw: list[float] = []
-    for total, count in ((3, 1), (1, 3), (-1, 3), (-3, 1)):
-        base = -0.5 * j_y * total
-        raw.extend([base] * count)
-        raw.extend([base + w] * count)
-    return _merge_levels(raw, period)
-
-
-def solvable_point_spectrum_2x2(
-    j_y: float, j_x: float, period: float
-) -> list[tuple[float, int]]:
-    """Closed-form quasienergy levels of the 2x2 plaquette at kick angle pi/2.
-
-    Same cat-state construction as the chain; the rung couplings enter
-    through s_1, s_2 and the two leg bonds only act when the rung signs
-    agree, via the (1 + s_1 s_2) factor.
-    """
-    w = np.pi / period
-    raw: list[float] = []
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                base = -0.5 * j_y * (s1 + s2) - 0.5 * j_x * (1 + s1 * s2) * s3
-                raw.append(base)
-                raw.append(base + w)
-    return _merge_levels(raw, period)

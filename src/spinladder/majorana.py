@@ -13,7 +13,9 @@ reference operators for the corner spectral functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import operator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,8 +86,9 @@ class DictionaryReport:
     failures: tuple[str, ...]
 
 
-def _dense_gap(left: PauliString, right_dense: np.ndarray) -> float:
-    return float(np.max(np.abs(left.to_matrix() - right_dense)))
+def _dense_product(factors: list[PauliString]) -> np.ndarray:
+    """The product of the factors' dense matrices, left to right."""
+    return functools.reduce(np.matmul, [f.to_matrix() for f in factors])
 
 
 def verify_dictionary(lattice: Lattice) -> DictionaryReport:
@@ -100,9 +103,11 @@ def verify_dictionary(lattice: Lattice) -> DictionaryReport:
             * prod_{m<j}      [i gamma_A(i+1,m) gamma_B(i+1,m)]
 
     where every Majorana pair carries the factor i that makes it a spin
-    operator (each string factor is a sigma_x).  All identities are
-    evaluated both in exact string arithmetic and densely, to within
-    DICTIONARY_TOL.
+    operator (each string factor is a sigma_x).  Each side of an
+    identity is a list of factors, multiplied once in exact string
+    arithmetic and once as the product of the factors' dense matrices,
+    so the dense check also catches a wrong dense factor; the dense
+    sides must agree to within DICTIONARY_TOL.
     """
     check_site_cap(lattice.n_sites, DICTIONARY_DENSE_CAP, "dense dictionary check")
     n = lattice.n_sites
@@ -110,35 +115,32 @@ def verify_dictionary(lattice: Lattice) -> DictionaryReport:
     worst = 0.0
     failures: list[str] = []
 
-    def record(name: str, lhs: PauliString, rhs: PauliString) -> None:
+    def record(name: str, lhs: list[PauliString], rhs: list[PauliString]) -> None:
         nonlocal checked, worst
         checked += 1
-        dev = _dense_gap(lhs, rhs.to_matrix())
+        dev = float(np.max(np.abs(_dense_product(lhs) - _dense_product(rhs))))
         worst = max(worst, dev)
-        exact = (
-            lhs.x_mask == rhs.x_mask
-            and lhs.z_mask == rhs.z_mask
-            and lhs.phase == rhs.phase
-        )
+        exact = functools.reduce(operator.mul, lhs) == functools.reduce(operator.mul, rhs)
         if not exact or dev > DICTIONARY_TOL:
-            failures.append(f"{name}: string mismatch, dense deviation {dev:.3e}")
+            strings = "agree" if exact else "differ"
+            failures.append(f"{name}: strings {strings}, dense deviation {dev:.3e}")
 
-    def ij_pair(kind1, s1, kind2, s2, scale=1j):
+    def ij_pair(kind1, s1, kind2, s2) -> list[PauliString]:
+        """The factors i gamma_1 and gamma_2 of i gamma_1 gamma_2."""
         g1 = majorana(lattice, kind1, *s1)
         g2 = majorana(lattice, kind2, *s2)
-        prod = g1 * g2
-        return PauliString(n, prod.x_mask, prod.z_mask, scale * prod.phase)
+        return [replace(g1, phase=1j * g1.phase), g2]
 
     for i in range(1, lattice.n_x + 1):
         for j in range(1, lattice.n_y + 1):
             lhs = PauliString.single(n, lattice.site_index(i, j), "x")
-            record(f"sigma_x({i},{j})", lhs, ij_pair("A", (i, j), "B", (i, j)))
+            record(f"sigma_x({i},{j})", [lhs], ij_pair("A", (i, j), "B", (i, j)))
 
     for i in range(1, lattice.n_x + 1):
         for j in range(1, lattice.n_y):
             za = PauliString.single(n, lattice.site_index(i, j + 1), "z")
             zb = PauliString.single(n, lattice.site_index(i, j), "z")
-            record(f"rung({i},{j})", za * zb, ij_pair("B", (i, j), "A", (i, j + 1)))
+            record(f"rung({i},{j})", [za, zb], ij_pair("B", (i, j), "A", (i, j + 1)))
 
     for i in range(1, lattice.n_x):
         for j in range(1, lattice.n_y + 1):
@@ -146,10 +148,10 @@ def verify_dictionary(lattice: Lattice) -> DictionaryReport:
             zb = PauliString.single(n, lattice.site_index(i, j), "z")
             rhs = ij_pair("B", (i, j), "A", (i + 1, j))
             for m in range(j + 1, lattice.n_y + 1):
-                rhs = rhs * ij_pair("A", (i, m), "B", (i, m))
+                rhs += ij_pair("A", (i, m), "B", (i, m))
             for m in range(1, j):
-                rhs = rhs * ij_pair("A", (i + 1, m), "B", (i + 1, m))
-            record(f"leg({i},{j})", za * zb, rhs)
+                rhs += ij_pair("A", (i + 1, m), "B", (i + 1, m))
+            record(f"leg({i},{j})", [za, zb], rhs)
 
     return DictionaryReport(
         identities_checked=checked,

@@ -24,8 +24,6 @@ from spinladder.floquet import (
     DriveParams,
     build_floquet,
     diagonalize,
-    solvable_point_spectrum_1x4,
-    solvable_point_spectrum_2x2,
     spacing_stats,
 )
 from spinladder.lattice import make_lattice
@@ -43,6 +41,7 @@ from spinladder.transfer1d import (
     mpm_solution,
     transfer_matrix,
 )
+from solvable_point import solvable_point_spectrum_1x4, solvable_point_spectrum_2x2
 
 PERIOD = 2.0
 UNIT = math.pi / PERIOD  # one pi/T in raw angular-frequency units
@@ -102,7 +101,7 @@ def test_criterion_01_spacing_table():
 def test_criterion_02_solvable_point_spectra():
     """At kick angle pi/2 the diagonalized spectra equal the closed forms."""
     j_y = 1.0  # raw coupling, theta_y = 1
-    for n_x, n_y, closed in (
+    for n_x, n_y, expected in (
         (1, 4, solvable_point_spectrum_1x4(j_y, PERIOD)),
         (2, 2, solvable_point_spectrum_2x2(j_y, 0.05 * UNIT, PERIOD)),
     ):
@@ -114,8 +113,6 @@ def test_criterion_02_solvable_point_spectra():
             period=PERIOD,
         )
         spectrum = diagonalize(build_floquet(lattice, params))
-        table = np.asarray(closed)
-        expected = np.sort(np.repeat(table[:, 0], table[:, 1].astype(int)))
         got = np.sort(spectrum.quasienergies)
         assert got.size == expected.size, (n_x, n_y)
         worst = float(np.max(np.abs(got - expected)))

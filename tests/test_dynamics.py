@@ -160,7 +160,7 @@ def test_measurement_matches_elementwise_sums(n):
         float(np.abs(tilted) ** 2 @ z), abs=1e-13 * n
     )
     before = real.copy()
-    dynamics._bind_measure(real, np.empty_like(real), n, 0.9)(sums)
+    dynamics._bind_measure(real, np.empty_like(real), n, 0.9, np.empty_like(real))(sums)
     assert sums[0, 0, 1] == measure_magnetization(state, n, 0.9)
     assert np.array_equal(real, before)
 

@@ -21,14 +21,13 @@ from spinladder.floquet import (
     diagonalize,
     fold_quasienergy,
     rotate_x_all_sites,
-    solvable_point_spectrum_1x4,
-    solvable_point_spectrum_2x2,
     spacing_stats,
     symmetry_group,
 )
 from spinladder.floquet import KICK_BLOCK_SITES, _kick_blocks, _quarter_turn, _unitary_eig
 from spinladder.lattice import SizeCapError, make_lattice
 from spinladder.majorana import corner_modes, mode_residual
+from solvable_point import solvable_point_spectrum_1x4, solvable_point_spectrum_2x2
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -649,6 +648,7 @@ def test_vectors_and_overlaps_match_eigenvectors(n_x, n_y, bc):
     absent = group.stab_sums[spec.labels] == 0
     assert absent.any()
     assert np.all(spec.sector_vectors.T[absent] == 0)
+
     for n in ranks:
         vec = spec.vectors([n])[:, 0]
         for g in range(group.order):
@@ -657,6 +657,26 @@ def test_vectors_and_overlaps_match_eigenvectors(n_x, n_y, bc):
             np.testing.assert_allclose(
                 moved, group.characters[spec.labels[n], g] * vec, rtol=0, atol=1e-12
             )
+
+
+def test_overlaps_peak_stays_near_two_blocks():
+    """The gathered images and their character sums each hold about one
+    block of D x c complex values on the 1x10 torus (|G| n_reps = 1120),
+    and the result one more.  overlaps drops the gathered images before
+    the result is allocated, so its traced peak stays within 2.75 blocks;
+    holding them to the end takes it to about 3.4."""
+    lat = make_lattice(1, 10, bc_x="periodic", bc_y="periodic", dedup_coincident_bonds=False)
+    spec = diagonalize(build_floquet(lat, DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0)))
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(lat.dim, 64)) + 1j * rng.normal(size=(lat.dim, 64))
+    spec.overlaps(block)
+    tracemalloc.start()
+    try:
+        spec.overlaps(block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * block.nbytes, f"traced peak {peak / block.nbytes:.2f} blocks"
 
 
 def test_identity_drive_spectrum_is_zero():
@@ -760,8 +780,7 @@ def test_solvable_point_1x4_closed_form():
     params = DriveParams(j_x=0.0, j_y=1.0, h=math.pi / 2, period=2.0)
     spec = diagonalize(build_floquet(lat, params))
     levels = solvable_point_spectrum_1x4(params.j_y, params.period)
-    expanded = np.sort(np.repeat([v for v, _ in levels], [m for _, m in levels]))
-    np.testing.assert_allclose(spec.quasienergies, expanded, atol=1e-10)
+    np.testing.assert_allclose(spec.quasienergies, levels, atol=1e-10)
 
 
 def test_solvable_point_2x2_closed_form():
@@ -769,8 +788,7 @@ def test_solvable_point_2x2_closed_form():
     params = DriveParams(j_x=0.05 * math.pi / 2, j_y=1.0, h=math.pi / 2, period=2.0)
     spec = diagonalize(build_floquet(lat, params))
     levels = solvable_point_spectrum_2x2(params.j_y, params.j_x, params.period)
-    expanded = np.sort(np.repeat([v for v, _ in levels], [m for _, m in levels]))
-    np.testing.assert_allclose(spec.quasienergies, expanded, atol=1e-10)
+    np.testing.assert_allclose(spec.quasienergies, levels, atol=1e-10)
 
 
 def test_spectrum_arrays_are_readonly():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from spinladder import pauli
 from spinladder.floquet import (
     RESIDUAL_TOL,
     DriveParams,
@@ -83,6 +84,19 @@ def test_dictionary_exact_on_small_lattices():
         assert report.failures == ()
         assert report.max_deviation < 1e-13
         assert report.identities_checked > 0
+
+
+def test_dictionary_dense_half_catches_a_wrong_factor(monkeypatch):
+    """With the dense X Z factor negated, the strings still agree, but
+    i M(gamma_A) M(gamma_B) misses sigma_x by 2: the dense half multiplies
+    the factors' matrices, not the product string's."""
+    monkeypatch.setitem(pauli._SINGLE_SITE, (1, 1), -pauli._SINGLE_SITE[(1, 1)])
+    lat = make_lattice(3, 2)
+    report = verify_dictionary(lat)
+    assert report.max_deviation == 2.0
+    for i in range(1, 4):
+        for j in range(1, 3):
+            assert f"sigma_x({i},{j}): strings agree, dense deviation 2.000e+00" in report.failures
 
 
 def test_corner_residual_ideal_point():

@@ -1,11 +1,17 @@
 """The public surface of the package."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import spinladder
+
+SUBMODULES = [info.name for info in pkgutil.iter_modules(spinladder.__path__)]
 
 
 def test_all_names_unique_and_resolvable():
@@ -13,6 +19,17 @@ def test_all_names_unique_and_resolvable():
     assert len(names) == len(set(names))
     for name in names:
         getattr(spinladder, name)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_attribute_is_the_module(name):
+    """``import spinladder.<name> as m`` and ``spinladder.<name>`` give
+    the module, not a function re-exported under its name."""
+    assert importlib.import_module(f"spinladder.{name}") is getattr(spinladder, name)
+
+
+def test_no_export_shadows_a_submodule():
+    assert not set(spinladder.__all__) & set(SUBMODULES)
 
 
 def test_cli_import_leaves_scipy_out():

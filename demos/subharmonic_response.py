@@ -13,7 +13,6 @@ import numpy as np
 
 from spinladder import (
     DriveParams,
-    all_up,
     build_floquet,
     evolve_stroboscopic,
     make_lattice,
@@ -29,7 +28,7 @@ PERIODS = 2000
 lattice = make_lattice(2, 2)
 ideal = DriveParams(j_x=0.13, j_y=0.31, h=math.pi / 2, period=PERIOD)
 op = build_floquet(lattice, ideal)
-state = prepare_state(lattice, all_up(lattice.n_sites))
+state = prepare_state(lattice, "up")
 trace = evolve_stroboscopic(op, state, 40)
 print("ideal kick, first eight stroboscopic magnetizations:")
 print("  " + "  ".join(f"{v:+.3f}" for v in trace.values[:8]))
@@ -39,7 +38,7 @@ chain = make_lattice(1, 8)
 params = DriveParams(j_x=0.05 * UNIT, j_y=0.6 * UNIT, h=0.8 * UNIT,
                      period=PERIOD)
 op = build_floquet(chain, params)
-state = prepare_state(chain, all_up(chain.n_sites))
+state = prepare_state(chain, "up")
 trace = evolve_stroboscopic(op, state, PERIODS)
 spec = power_spectrum(trace)
 half = spec.n_samples // 2
@@ -55,6 +54,6 @@ print("\nsubharmonic peak per site versus open chain length:")
 for n in (4, 6, 8, 10):
     chain = make_lattice(1, n)
     op = build_floquet(chain, params)
-    state = prepare_state(chain, all_up(chain.n_sites))
+    state = prepare_state(chain, "up")
     spec = power_spectrum(evolve_stroboscopic(op, state, PERIODS))
     print(f"  N = {n:2d}: {spec.magnitudes[spec.n_samples // 2] / n:.3f}")

@@ -12,7 +12,6 @@ magnetization dynamics with subharmonic power spectra.
 from .dynamics import (
     MagnetizationTrace,
     PowerSpectrum,
-    all_up,
     evolve_scan,
     evolve_stroboscopic,
     measure_magnetization,
@@ -85,7 +84,6 @@ __all__ = [
     "SpectralFunctionConfig",
     "SpectralFunctions",
     "TransferMatrix",
-    "all_up",
     "build_floquet",
     "classify_phase",
     "corner_modes",

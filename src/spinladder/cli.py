@@ -53,10 +53,6 @@ DEFAULT_SIZES = [
     [1, 4], [1, 6], [1, 8], [1, 10], [1, 12],
 ]
 
-#: amplitudes in one stack of a dynamics scan: the h values of a scan
-#: evolve together in stacks of at most max(1, this // D) rows
-SCAN_STACK_AMPLITUDES = 1 << 16
-
 
 class ConfigError(ValueError):
     """Malformed, inconsistent, or incomplete run configuration."""
@@ -413,15 +409,15 @@ def cmd_spacing_table(config: dict) -> _Table:
 
 def _traces(
     config: dict, h_values: Sequence[float], spectrum: bool = False
-) -> list[MagnetizationTrace]:
+) -> tuple[MagnetizationTrace, ...]:
     """Evolve a dynamics task's state at each kick field h, in the
     block's units; return one trace per h.
 
     The whole task is checked before any evolution, so a bad config
     fails even when a scan has no values; with ``spectrum`` the period
     count must also give a power spectrum.  Each h is converted to raw
-    units like the block's own, and stacks of at most
-    max(1, SCAN_STACK_AMPLITUDES // D) of them evolve under one operator.
+    units like the block's own, and all of them evolve under one
+    operator in evolve_scan's bounded stacks.
     """
     lattice = resolve_lattice(config)
     op = build_floquet(lattice, resolve_drive(config))
@@ -432,11 +428,7 @@ def _traces(
     axis = float(task["axis"])
     state = prepare_state(lattice, parse_init(task["init"]))
     fields = [resolve_drive(config, h=h).h for h in h_values]
-    stack = max(1, SCAN_STACK_AMPLITUDES // lattice.dim)
-    traces = []
-    for start in range(0, len(fields), stack):
-        traces.extend(evolve_scan(op, fields[start:start + stack], state, periods, axis=axis))
-    return traces
+    return evolve_scan(op, fields, state, periods, axis=axis) if fields else ()
 
 
 def cmd_dynamics(config: dict) -> _Table:

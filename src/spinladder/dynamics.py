@@ -12,7 +12,7 @@ expectation values; this reuses the kick kernel instead of building any
 operator matrix.
 
 evolve_scan evolves one state under one operator at several kick fields
-h, as one (rows, D) stack with one row per h that shares the zz phase;
+h, in bounded (rows, D) stacks with one row per h that share the zz phase;
 each row equals the single evolution at its h bit for bit, and
 evolve_stroboscopic is the one-row case.  An evolution never writes its
 input, takes its buffers from its thread's workspace, which the next
@@ -53,15 +53,16 @@ from .lattice import Lattice
 #: allowed drift of the state norm during evolution
 NORM_TOL = 1e-10
 
+#: amplitudes in one stack of evolve_scan: its h values evolve together
+#: in consecutive stacks of at most max(1, this // D) rows
+SCAN_STACK_AMPLITUDES = 1 << 16
+
 #: one entry of a product-state specification: a Bloch angle or a token
 SiteSpec = float | str
 
 #: per-site specification, a uniform token/angle, or a callable on the lattice
 ProductStateSpec = Sequence[SiteSpec] | SiteSpec | Callable[[Lattice], Sequence[SiteSpec]]
 
-
-def all_up(n_sites: int) -> tuple[str, ...]:
-    return ("up",) * n_sites
 
 def one_flip(n_sites: int, position: int = 1) -> tuple[str, ...]:
     """All spins up except one down at ``position`` (0-based site index)."""
@@ -274,13 +275,14 @@ def evolve_scan(
     per h, in order.
 
     The kick fields are raw, in the units of ``op.params.h``, and the
-    angle of each is ``replace(op.params, h=h).theta_h``.  All of them
-    run as one (rows, D) stack, one row per h: the rows share the zz
-    phase of ``op`` (it depends on the lattice, j_x, j_y and T alone)
-    and each has its own kick angle.  Every gemm of the kick and every
-    product of the measurement has the size it has for one row, so each
-    trace equals evolve_stroboscopic of the operator at its h bit for
-    bit; only the per-call overhead is shared.
+    angle of each is ``replace(op.params, h=h).theta_h``.  They run in
+    consecutive stacks of at most max(1, SCAN_STACK_AMPLITUDES // D)
+    rows, one per h, for every caller: a stack's rows share the zz phase
+    of ``op`` (it depends on the lattice, j_x, j_y and T alone) and each
+    has its own kick angle.  Every gemm of the kick and every product of
+    the measurement has the size it has for one row, so each trace
+    equals evolve_stroboscopic of the operator at its h bit for bit;
+    only the per-call overhead is shared.
 
     The input state is never written.  The evolution runs in the kick's
     real frame: it holds u = conj(Q) v with Q = diag(i**popcount(b))
@@ -320,6 +322,10 @@ def evolve_scan(
     v = np.asarray(state, dtype=complex)
     if v.shape != (op.lattice.dim,):
         raise ValueError(f"state must have shape ({op.lattice.dim},), got {v.shape}")
+    stack = max(1, SCAN_STACK_AMPLITUDES // v.size)
+    if len(angles) > stack:
+        starts = range(0, len(angles), stack)
+        return sum((evolve_scan(op, h_values[s:s + stack], v, periods, axis) for s in starts), ())
     rows = len(angles)
     u, scratch, *rotated = _workspace(3 if axis != 0.0 else 2, rows, v.size)
     measure = _bind_measure(u, scratch, n, axis, *rotated)

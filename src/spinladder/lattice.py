@@ -123,15 +123,12 @@ class Lattice:
 
         Each direction with more than one site (x first) offers its
         one-site translation (order n) when periodic and its reflection
-        x -> n + 1 - x (order 2) when open, kept when it maps the multiset
-        of bonds, each with its axis, onto itself.  The comparison runs on
-        unordered bonds, so doubled wrap bonds (``dedup=False``) and 2-site
-        rings are covered by the same test.  Permutations of different
-        directions move different coordinates, so they commute.
+        x -> n + 1 - x (order 2) when open.  Both hold by construction:
+        every column gets the same rungs, every row gets the same legs,
+        and a periodic direction gives each of them its wrap bond or its
+        doubled copy, so no bond needs to be compared.  Permutations of
+        different directions move different coordinates, so they commute.
         """
-
-        def key(bonds):
-            return sorted((min(a, b), max(a, b), axis) for a, b, axis in bonds)
 
         def step(x, n, bc):
             return (x + 1) % n if bc == "periodic" else n - 1 - x
@@ -142,11 +139,8 @@ class Lattice:
             (n_x, bc_x, tuple(step(i, n_x, bc_x) * n_y + j for i, j in coords)),
             (n_y, bc_y, tuple(i * n_y + step(j, n_y, bc_y) for i, j in coords)),
         ]
-        reference = key(self.bonds)
         return tuple(
-            (sites, n if bc == "periodic" else 2)
-            for n, bc, sites in candidates
-            if n > 1 and key((sites[a], sites[b], axis) for a, b, axis in self.bonds) == reference
+            (sites, n if bc == "periodic" else 2) for n, bc, sites in candidates if n > 1
         )
 
 

@@ -94,16 +94,17 @@ def _dense_product(factors: list[PauliString]) -> np.ndarray:
 def verify_dictionary(lattice: Lattice) -> DictionaryReport:
     """Check the spin-to-Majorana operator identities on every site and bond.
 
-    Site identity: sigma_x = i gamma_A gamma_B.  Rung pairs:
-    sigma_z(i,j+1) sigma_z(i,j) = i gamma_B(i,j) gamma_A(i,j+1).  Leg
-    pairs couple through the nonlocal string
+    Site identity: sigma_x = i gamma_A gamma_B.  Each bond of
+    ``lattice.bonds``, with flat ends a < b, couples through the string
+    of every site between them,
 
-        sigma_z(i+1,j) sigma_z(i,j) = [i gamma_B(i,j) gamma_A(i+1,j)]
-            * prod_{j<n<=N_y} [i gamma_A(i,n) gamma_B(i,n)]
-            * prod_{m<j}      [i gamma_A(i+1,m) gamma_B(i+1,m)]
+        sigma_z(b) sigma_z(a) = [i gamma_B(a) gamma_A(b)]
+            * prod_{a<m<b} [i gamma_A(m) gamma_B(m)]
 
-    where every Majorana pair carries the factor i that makes it a spin
-    operator (each string factor is a sigma_x).  Each side of an
+    A rung has no site between its ends, a leg has the rest of its
+    column and the start of the next one, and a wrap bond goes the whole
+    way round.  Every Majorana pair carries the factor i that makes it a
+    spin operator (each string factor is a sigma_x).  Each side of an
     identity is a list of factors, multiplied once in exact string
     arithmetic and once as the product of the factors' dense matrices,
     so the dense check also catches a wrong dense factor; the dense
@@ -125,33 +126,26 @@ def verify_dictionary(lattice: Lattice) -> DictionaryReport:
             strings = "agree" if exact else "differ"
             failures.append(f"{name}: strings {strings}, dense deviation {dev:.3e}")
 
-    def ij_pair(kind1, s1, kind2, s2) -> list[PauliString]:
-        """The factors i gamma_1 and gamma_2 of i gamma_1 gamma_2."""
-        g1 = majorana(lattice, kind1, *s1)
-        g2 = majorana(lattice, kind2, *s2)
+    def site(k: int) -> tuple[int, int]:
+        return k // lattice.n_y + 1, k % lattice.n_y + 1
+
+    def ij_pair(kind1, k1, kind2, k2) -> list[PauliString]:
+        """The factors i gamma_1 and gamma_2 of i gamma_1 gamma_2, at flat sites k1, k2."""
+        g1 = majorana(lattice, kind1, *site(k1))
+        g2 = majorana(lattice, kind2, *site(k2))
         return [replace(g1, phase=1j * g1.phase), g2]
 
-    for i in range(1, lattice.n_x + 1):
-        for j in range(1, lattice.n_y + 1):
-            lhs = PauliString.single(n, lattice.site_index(i, j), "x")
-            record(f"sigma_x({i},{j})", [lhs], ij_pair("A", (i, j), "B", (i, j)))
+    for k in range(n):
+        i, j = site(k)
+        record(f"sigma_x({i},{j})", [PauliString.single(n, k, "x")], ij_pair("A", k, "B", k))
 
-    for i in range(1, lattice.n_x + 1):
-        for j in range(1, lattice.n_y):
-            za = PauliString.single(n, lattice.site_index(i, j + 1), "z")
-            zb = PauliString.single(n, lattice.site_index(i, j), "z")
-            record(f"rung({i},{j})", [za, zb], ij_pair("B", (i, j), "A", (i, j + 1)))
-
-    for i in range(1, lattice.n_x):
-        for j in range(1, lattice.n_y + 1):
-            za = PauliString.single(n, lattice.site_index(i + 1, j), "z")
-            zb = PauliString.single(n, lattice.site_index(i, j), "z")
-            rhs = ij_pair("B", (i, j), "A", (i + 1, j))
-            for m in range(j + 1, lattice.n_y + 1):
-                rhs += ij_pair("A", (i, m), "B", (i, m))
-            for m in range(1, j):
-                rhs += ij_pair("A", (i + 1, m), "B", (i + 1, m))
-            record(f"leg({i},{j})", [za, zb], rhs)
+    for bond in lattice.bonds:
+        a, b = sorted((bond.a, bond.b))
+        rhs = ij_pair("B", a, "A", b)
+        for m in range(a + 1, b):
+            rhs += ij_pair("A", m, "B", m)
+        zb, za = PauliString.single(n, b, "z"), PauliString.single(n, a, "z")
+        record(f"bond {site(bond.a)}-{site(bond.b)}", [zb, za], rhs)
 
     return DictionaryReport(
         identities_checked=checked,

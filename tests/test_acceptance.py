@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from spinladder.dynamics import (
-    all_up,
     evolve_stroboscopic,
     measure_magnetization,
     one_flip,
@@ -299,7 +298,7 @@ def test_criterion_09_nonmonotonic_size_dependence():
     for n in (4, 6, 8, 10, 12):
         lattice = make_lattice(1, n)
         op = build_floquet(lattice, drive(0.8, 0.6, j_x=0.05))
-        trace = evolve_stroboscopic(op, prepare_state(lattice, all_up(n)), periods=2000)
+        trace = evolve_stroboscopic(op, prepare_state(lattice, "up"), periods=2000)
         peaks[n] = power_spectrum(trace).subharmonic_amplitude / n
     sizes = sorted(peaks)
     values = [peaks[n] for n in sizes]

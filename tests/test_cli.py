@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinladder import cli
+from spinladder import cli, dynamics
 from spinladder.dynamics import (
-    all_up,
     evolve_stroboscopic,
     one_flip,
     power_spectrum,
@@ -135,7 +134,7 @@ def test_power_rows_match_module(tmp_path):
     assert "# omega in radians per unit time" in comments
     lattice = make_lattice(1, 2)
     op = build_floquet(lattice, DriveParams(j_x=0.0, j_y=0.5, h=0.7, period=2.0))
-    trace = evolve_stroboscopic(op, prepare_state(lattice, all_up(2)), periods=16)
+    trace = evolve_stroboscopic(op, prepare_state(lattice, "up"), periods=16)
     spectrum = power_spectrum(trace)
     np.testing.assert_array_equal([float(r[0]) for r in rows], spectrum.frequencies)
     np.testing.assert_array_equal([float(r[1]) for r in rows], spectrum.magnitudes)
@@ -199,7 +198,7 @@ def test_scan_across_stacks_matches_single_peaks(tmp_path):
     assert [float(r[0]) for r in rows] == h_values
 
     lattice = make_lattice(1, 15)
-    assert cli.SCAN_STACK_AMPLITUDES // lattice.dim == 2
+    assert dynamics.SCAN_STACK_AMPLITUDES // lattice.dim == 2
     state = prepare_state(lattice, one_flip(15, 3))
     peaks = []
     for v in h_values:

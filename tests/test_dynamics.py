@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from spinladder import dynamics
 from spinladder.dynamics import (
     MagnetizationTrace,
-    all_up,
     evolve_scan,
     evolve_stroboscopic,
     measure_magnetization,
@@ -49,7 +48,7 @@ def tilt_operator(n_sites: int, axis: float) -> np.ndarray:
 
 def test_all_up_is_basis_index_zero():
     lat = make_lattice(2, 3)
-    state = prepare_state(lat, all_up(6))
+    state = prepare_state(lat, "up")
     expected = np.zeros(64)
     expected[0] = 1.0
     np.testing.assert_allclose(state, expected)
@@ -105,7 +104,7 @@ def test_prepare_state_normalized(angles):
 
 def test_magnetization_simple_oracles():
     lat = make_lattice(2, 2)
-    up = prepare_state(lat, all_up(4))
+    up = prepare_state(lat, "up")
     assert measure_magnetization(up, 4) == pytest.approx(4.0, abs=1e-12)
     flipped = prepare_state(lat, one_flip(4))
     assert measure_magnetization(flipped, 4) == pytest.approx(2.0, abs=1e-12)
@@ -187,7 +186,7 @@ def test_repeated_measurement_allocates_no_state_buffer(axis):
 def test_trivial_drive_keeps_trace_constant():
     lat = make_lattice(1, 3)
     op = build_floquet(lat, DriveParams(j_x=0.0, j_y=0.0, h=0.0, period=2.0))
-    trace = evolve_stroboscopic(op, prepare_state(lat, all_up(3)), periods=6)
+    trace = evolve_stroboscopic(op, prepare_state(lat, "up"), periods=6)
     assert trace.n_periods == 6
     assert trace.values.shape == (7,)
     np.testing.assert_allclose(trace.values, 3.0, atol=1e-12)
@@ -197,7 +196,7 @@ def test_trivial_drive_keeps_trace_constant():
 def test_evolution_validates_inputs():
     lat = make_lattice(1, 2)
     op = build_floquet(lat, DriveParams(j_x=0.0, j_y=0.4, h=0.3, period=2.0))
-    state = prepare_state(lat, all_up(2))
+    state = prepare_state(lat, "up")
     with pytest.raises(ValueError):
         evolve_stroboscopic(op, state, periods=0)
     for wrong in (np.ones(8, dtype=complex) / math.sqrt(8), state.reshape(2, 2)):
@@ -307,7 +306,32 @@ def test_scan_needs_a_kick_field():
     lat = make_lattice(1, 4)
     op = build_floquet(lat, DriveParams(j_x=0.4, j_y=0.7, h=0.83, period=2.0))
     with pytest.raises(ValueError, match="at least one kick field"):
-        evolve_scan(op, [], prepare_state(lat, all_up(4)), 2)
+        evolve_scan(op, [], prepare_state(lat, "up"), 2)
+
+
+def test_scan_bounds_its_own_stacks(monkeypatch):
+    """A library call is bounded as the CLI's is: five fields on the
+    1x15 chain, two rows per stack, ask the workspace for stacks of 2, 2
+    and 1 rows, and each trace equals its single evolution bit for bit."""
+    lat = make_lattice(1, 15)
+    assert dynamics.SCAN_STACK_AMPLITUDES // lat.dim == 2
+    drives = [DriveParams.from_pi_over_t(0.05, 0.6, h, 2.0) for h in (0.6, 0.7, 0.8, 0.9, 1.0)]
+    state = prepare_state(lat, one_flip(15, 3))
+    asked = []
+    workspace = dynamics._workspace
+
+    def spy(count, rows, dim):
+        asked.append(rows)
+        return workspace(count, rows, dim)
+
+    monkeypatch.setattr(dynamics, "_workspace", spy)
+    op = build_floquet(lat, drives[0])
+    traces = evolve_scan(op, [d.h for d in drives], state, 6, axis=0.4)
+    assert asked == [2, 2, 1]
+    for drive, trace in zip(drives, traces, strict=True):
+        single = evolve_stroboscopic(build_floquet(lat, drive), state, 6, axis=0.4)
+        assert np.array_equal(trace.values, single.values)
+        assert trace.max_norm_drift == single.max_norm_drift
 
 
 def test_scan_names_first_drifted_period():
@@ -315,7 +339,7 @@ def test_scan_names_first_drifted_period():
     the whole scan with the first period its norm is off."""
     lat = make_lattice(1, 3)
     op = build_floquet(lat, DriveParams(j_x=0.4, j_y=0.7, h=0.3, period=2.0))
-    state = prepare_state(lat, all_up(3))
+    state = prepare_state(lat, "up")
     with pytest.raises(NumericalToleranceError, match=r"after 1 periods \(h = 0.3\)"):
         evolve_scan(op, (0.3, 0.5), 0.9 * state, periods=5)
 
@@ -598,7 +622,7 @@ def test_ideal_kick_alternates_exactly():
     n = 4
     lat = make_lattice(2, 2)
     op = build_floquet(lat, DriveParams(j_x=0.13, j_y=0.31, h=math.pi / 2, period=2.0))
-    trace = evolve_stroboscopic(op, prepare_state(lat, all_up(n)), periods=20)
+    trace = evolve_stroboscopic(op, prepare_state(lat, "up"), periods=20)
     signs = (-1.0) ** np.arange(21)
     np.testing.assert_allclose(trace.values, n * signs, atol=1e-10)
 

@@ -336,6 +336,15 @@ BOUNDARIES = {
     "open-periodic": ("open", "periodic"),
 }
 
+#: 3- and 4-leg strips in every boundary combination, with both dedup
+#: values where the 2-site x direction is periodic
+STRIPS = [
+    (n_x, n_y, bc, dedup)
+    for n_x, n_y in [(2, 3), (3, 3), (2, 4)]
+    for bc, (bc_x, _) in BOUNDARIES.items()
+    for dedup in ((True, False) if n_x == 2 and bc_x == "periodic" else (True,))
+]
+
 
 def dense_schur_quasienergies(op):
     """Reference spectrum: one complex Schur of the full dense propagator."""
@@ -359,6 +368,7 @@ def dense_schur_quasienergies(op):
             for n_x in (2, 3, 4, 5)
             for bc in ("periodic-open", "open-periodic")
         ),
+        *STRIPS,
     ],
 )
 def test_sector_spectrum_matches_dense_schur(n_x, n_y, bc, dedup):
@@ -523,7 +533,7 @@ def test_residuals_keep_margin_to_guard(n_x, n_y, bc, h):
     [
         (4, 2, "periodic", False), (3, 2, "periodic", True), (1, 8, "periodic", True),
         (3, 2, "open", True), (4, 2, "periodic-open", False), (3, 2, "open-periodic", False),
-        (1, 2, "periodic", False),
+        (1, 2, "periodic", False), *STRIPS,
     ],
 )
 def test_symmetry_group_tables_match_brute_force(n_x, n_y, bc, dedup):

@@ -1,5 +1,7 @@
 """Geometry layer: site indexing, bond construction, size caps."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -48,6 +50,34 @@ def test_single_site_direction_never_self_loops():
     chain = make_lattice(1, 6, bc_x="periodic", bc_y="periodic")
     assert all(b.a != b.b for b in chain.bonds)
     assert all(b.axis == "y" for b in chain.bonds)
+
+
+def test_symmetries_map_bonds_onto_bonds():
+    """On every lattice the class can build, each symmetry is a site
+    permutation of its stated order that maps the bonds, each with its
+    axis, onto themselves, and each direction of more than one site
+    offers exactly one."""
+    built = 0
+    for n_x in range(1, DEFAULT_SITE_CAP + 1):
+        for n_y in range(1, DEFAULT_SITE_CAP // n_x + 1):
+            for bc_x, bc_y, dedup in itertools.product(
+                ("open", "periodic"), ("open", "periodic"), (True, False)
+            ):
+                lat = make_lattice(n_x, n_y, bc_x, bc_y, dedup_coincident_bonds=dedup)
+                symmetries = lat.symmetries()
+                assert len(symmetries) == (n_x > 1) + (n_y > 1)
+                identity = tuple(range(lat.n_sites))
+                for sites, order in symmetries:
+                    moved = [b._replace(a=sites[b.a], b=sites[b.b]) for b in lat.bonds]
+                    assert bond_multiset(lat) == sorted(
+                        (min(b.a, b.b), max(b.a, b.b), b.axis) for b in moved
+                    )
+                    power = identity
+                    for step in range(1, order + 1):
+                        power = tuple(sites[k] for k in power)
+                        assert (power == identity) == (step == order)
+                built += 1
+    assert built == 528
 
 
 def test_site_cap_enforced():

@@ -86,6 +86,20 @@ def test_dictionary_exact_on_small_lattices():
         assert report.identities_checked > 0
 
 
+@pytest.mark.parametrize(
+    "n_x,n_y,dedup,expected",
+    [(4, 2, False, 24), (1, 8, True, 16)],
+)
+def test_dictionary_checks_every_wrap_bond(n_x, n_y, dedup, expected):
+    """On the 4x2 torus with doubled bonds and the periodic 1x8 chain,
+    every bond of lattice.bonds gets its identity, wrap bonds included."""
+    lat = make_lattice(n_x, n_y, "periodic", "periodic", dedup_coincident_bonds=dedup)
+    report = verify_dictionary(lat)
+    assert report.failures == ()
+    assert report.max_deviation < 1e-13
+    assert report.identities_checked == lat.n_sites + len(lat.bonds) == expected
+
+
 def test_dictionary_dense_half_catches_a_wrong_factor(monkeypatch):
     """With the dense X Z factor negated, the strings still agree, but
     i M(gamma_A) M(gamma_B) misses sigma_x by 2: the dense half multiplies

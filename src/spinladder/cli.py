@@ -237,10 +237,7 @@ def resolve_drive(config: dict, **couplings: float) -> DriveParams:
     scan point is converted exactly like the block itself.
     """
     block = {**config["drive"], **couplings}
-    try:
-        values = {k: float(block[k]) for k in ("j_x", "j_y", "h", "period")}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad drive block: {exc}") from exc
+    values = {k: float(block[k]) for k in ("j_x", "j_y", "h", "period")}
     if block["units"] == "pi_over_t":
         return DriveParams.from_pi_over_t(**values)
     return DriveParams(**values)
@@ -337,10 +334,11 @@ def emit(
 def read_emitted_config(path: str) -> tuple[str, dict]:
     """Recover (command, resolved config) from an emitted artifact.
 
-    Understands both output formats; the returned config can be fed back
-    through the same subcommand to regenerate the file exactly.  A file
-    without that header, or whose config is not a JSON object, raises
-    ConfigError naming the path.
+    Understands both output formats.  The header is checked like a
+    config file, by resolve_config, which returns a valid header's
+    config unchanged: fed back through the same subcommand, it
+    regenerates the file exactly.  A file without that header, or with
+    an unknown command or a bad config, raises ConfigError.
     """
     try:
         with open(path) as handle:
@@ -359,9 +357,11 @@ def read_emitted_config(path: str) -> tuple[str, dict]:
                 config = json.loads(second[len("# config: "):])
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} does not carry valid JSON: {exc}") from exc
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise ConfigError(f"{path} carries an unknown command {command!r}")
     if not isinstance(config, dict):
         raise ConfigError(f"{path} carries a config that is not a JSON object")
-    return command, config
+    return command, resolve_config(command, config, {})
 
 
 #: what a subcommand handler returns: columns, rows and header notes

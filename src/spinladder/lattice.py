@@ -144,18 +144,5 @@ class Lattice:
         )
 
 
-def make_lattice(
-    n_x: int,
-    n_y: int,
-    bc_x: str = "open",
-    bc_y: str = "open",
-    dedup_coincident_bonds: bool = True,
-) -> Lattice:
-    """Build a validated Lattice; see the Lattice docstring for conventions."""
-    return Lattice(
-        n_x=n_x,
-        n_y=n_y,
-        bc_x=bc_x,
-        bc_y=bc_y,
-        dedup_coincident_bonds=dedup_coincident_bonds,
-    )
+#: the Lattice constructor, under the name the callers use
+make_lattice = Lattice

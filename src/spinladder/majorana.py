@@ -14,6 +14,7 @@ reference operators for the corner spectral functions.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 from dataclasses import dataclass, replace
 
@@ -195,8 +196,8 @@ class SpectralFunctionConfig:
     window: float
 
     def __post_init__(self) -> None:
-        if self.chi < 1:
-            raise ValueError("chi must be a positive integer")
+        if isinstance(self.chi, bool) or not isinstance(self.chi, numbers.Integral) or self.chi < 1:
+            raise ValueError(f"chi must be a positive integer, got {self.chi!r}")
         if not self.window > 0:  # NaN fails too
             raise ValueError(f"window must be positive, got {self.window!r}")
 

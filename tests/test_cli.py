@@ -370,14 +370,38 @@ def test_json_without_command_or_config_is_config_error(tmp_path, document):
     ("table.csv", "# spinladder spectrum\n# config: {oops\n"),
     ("doc.json", '{"command": "spectrum", "config": [1]}'),
     ("table.csv", "# spinladder spectrum\n# config: [1]\n"),
-], ids=["json-invalid", "csv-invalid", "json-not-object", "csv-not-object"])
+    ("doc.json", '{"command": "bogus", "config": {}}'),
+    ("doc.json", '{"command": 3, "config": {}}'),
+    ("doc.json", '{"command": ["spectrum"], "config": {}}'),
+], ids=["json-invalid", "csv-invalid", "json-not-object", "csv-not-object",
+        "json-unknown-command", "json-int-command", "json-list-command"])
 def test_malformed_emitted_config_is_config_error(tmp_path, name, text):
-    """A header config that is not valid JSON, or not a JSON object,
-    raises ConfigError naming the file, not a bare decode error."""
+    """A header config that is not valid JSON, or not a JSON object, or
+    a command that is not a subcommand, raises ConfigError naming the
+    file, not a bare decode error or a KeyError."""
     path = tmp_path / name
     path.write_text(text)
     with pytest.raises(cli.ConfigError, match=re.escape(str(path))):
         cli.read_emitted_config(str(path))
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"dedup": true', '"dedup": "false"'),
+    ('"h": 0.8', '"h": "0.8"'),
+    ('"n_x": 1', '"n_x": 2.0'),
+    ("# spinladder spectrum", "# spinladder bogus"),
+], ids=["dedup-string", "h-string", "n_x-float", "unknown-command"])
+def test_edited_header_is_config_error(tmp_path, old, new):
+    """A replayed header is checked like a config file, so an edited
+    value of the wrong type or an unknown command stops at
+    read_emitted_config instead of running or failing in the handler."""
+    out = tmp_path / "spec.csv"
+    assert cli.main(["spectrum", "--out", str(out), "--nx", "1", "--ny", "2"]) == 0
+    text = out.read_text()
+    assert old in text
+    out.write_text(text.replace(old, new))
+    with pytest.raises(cli.ConfigError):
+        cli.read_emitted_config(str(out))
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)

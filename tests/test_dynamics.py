@@ -334,6 +334,54 @@ def test_scan_bounds_its_own_stacks(monkeypatch):
         assert trace.max_norm_drift == single.max_norm_drift
 
 
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("axis", [0.0, 0.4])
+def test_repeated_scan_across_stacks_allocates_no_state_buffer(axis):
+    """Five fields on the 1x15 chain run stacks of 2, 2 and 1 rows; the
+    last stack borrows a view of the 2-row workspace, so a repeated scan
+    allocates less than one buffer of D complex values (0.5 MiB)."""
+    lat = make_lattice(1, 15)
+    op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.8, 2.0))
+    state = prepare_state(lat, one_flip(15, 3))
+    fields = [DriveParams.from_pi_over_t(0.05, 0.6, h, 2.0).h for h in (0.6, 0.7, 0.8, 0.9, 1.0)]
+    evolve_scan(op, fields, state, 2, axis)
+    peak = traced_peak(lambda: evolve_scan(op, fields, state, 2, axis))
+    assert peak < 16 * state.size, f"traced peak {peak} bytes"
+
+
+@pytest.mark.parametrize("axis", [0.0, 0.4])
+def test_measurement_after_scan_allocates_no_state_buffer(axis):
+    """measure_magnetization borrows one row of the workspace that a
+    two-row 1x15 scan left in its thread, so it allocates less than one
+    buffer of D complex values (0.5 MiB)."""
+    lat = make_lattice(1, 15)
+    op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.8, 2.0))
+    state = prepare_state(lat, one_flip(15, 3))
+    evolve_scan(op, (0.5, 0.6), state, 2, axis)
+    peak = traced_peak(lambda: measure_magnetization(state, 15, axis))
+    assert peak < 16 * state.size, f"traced peak {peak} bytes"
+
+
+def test_workspace_starts_on_a_64_byte_boundary():
+    """Every fresh workspace puts u on a 64-byte boundary, which malloc
+    does not promise, and a request it covers gets a view of it."""
+    for dim in (2, 4, 64, 4096):
+        for rows in (1, 3):
+            buffers = dynamics._workspace(2, rows, dim)
+            assert buffers[0].ctypes.data % 64 == 0, (dim, rows)
+            assert buffers[0].flags.c_contiguous
+        assert np.shares_memory(dynamics._workspace(1, 2, dim), buffers)
+
+
 def test_scan_names_first_drifted_period():
     """The norms are checked once, after the loop; a drifted row fails
     the whole scan with the first period its norm is off."""

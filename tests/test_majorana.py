@@ -367,6 +367,9 @@ def test_spectral_function_config_errors():
         corner_spectral_functions(
             spec, lat, SpectralFunctionConfig(chi=4, window=math.pi / 4)
         )
-    for chi, window in ((0, 0.01), (1, 0.0), (1, -0.01), (1, math.nan)):
+    # a float chi would fail later as an index, and True would run as chi 1
+    for chi, window in ((0, 0.01), (2.5, 0.01), (4.0, 0.01), (True, 0.01), (1, 0.0),
+                        (1, -0.01), (1, math.nan)):
         with pytest.raises(ValueError):
             SpectralFunctionConfig(chi=chi, window=window)
+    assert SpectralFunctionConfig(chi=np.int64(4), window=0.01).chi == 4

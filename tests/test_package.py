@@ -55,3 +55,12 @@ print('scipy' in sys.modules, 'numpy.ma' in sys.modules)
         [sys.executable, "-c", check], capture_output=True, text=True, check=True, timeout=60, env=env
     )
     assert result.stdout.strip() == "False False"
+
+
+def test_make_lattice_is_the_lattice_class():
+    """One constructor holds the lattice defaults and checks; make_lattice
+    is its name for the callers."""
+    from spinladder.lattice import Lattice, make_lattice
+
+    assert make_lattice is Lattice
+    assert make_lattice(1, 4) == Lattice(n_x=1, n_y=4, bc_x="open", bc_y="open")

@@ -17,10 +17,10 @@ each row equals the single evolution at its h bit for bit, and
 evolve_stroboscopic is the one-row case.  An evolution never writes its
 input, runs its stacks in one loop over views of its thread's workspace,
 which lends one to any request that it covers, binds each stack once,
-and runs every period in the kick's real frame: the zz multiply into the kick's entry buffer,
-then the real kick kernel, with no quarter-turn phase passes, since
-|Q x| = |x| for the exact phase diagonal Q that separates the frame
-from the state.  The measurement squares the floats into the kick's
+and runs every period in the kick's real frame: the zz multiply into
+the kick's entry buffer, one row at a time, then the real kick kernel,
+with no quarter-turn phase passes, since |Q x| = |x| for the exact
+phase diagonal Q that separates the frame from the state.  The measurement squares the floats into the kick's
 scratch and reduces them with two products per row against small
 cached tables, each cut by the vector length alone to at most
 KICK_GEMM_MACS multiply-adds, so every BLAS call of a period runs on
@@ -214,17 +214,23 @@ def _workspace(count: int, rows: int, dim: int) -> np.ndarray:
     Each thread holds at most one workspace, on a 64-byte boundary: the
     last one it allocated.  It lends a view to any request of the same
     dim and at most as many buffers and rows, so an evolution it covers
-    faults in no fresh pages and allocates no D-sized buffer; any other
-    request frees it before allocating its own.
+    faults in no fresh pages and allocates no D-sized buffer.  A request
+    of the same dim that it does not cover frees it and allocates the
+    larger of the held and the requested buffer count and row count, so
+    requests that alternate between more buffers and more rows allocate
+    once; a request of another dim frees it and allocates its own shape.
     """
     buffers = getattr(_held, "buffers", None)
-    if buffers is None or buffers.shape[2] != dim or len(buffers) < count or buffers.shape[1] < rows:
+    held = buffers.shape[:2] if buffers is not None and buffers.shape[2] == dim else (0, 0)
+    if held[0] < count or held[1] < rows:
+        shape = (max(count, held[0]), max(rows, held[1]))
+        size = shape[0] * shape[1] * dim
         # drop the old workspace before the new one is allocated
         _held.buffers = buffers = None
         # 64-byte aligned, which malloc does not promise: a misaligned u runs ~20 % slower
-        raw = np.empty(count * rows * dim + 3, dtype=complex)
+        raw = np.empty(size + 3, dtype=complex)
         skip = -raw.ctypes.data % 64 // 16
-        _held.buffers = buffers = raw[skip:skip + count * rows * dim].reshape(count, rows, dim)
+        _held.buffers = buffers = raw[skip:skip + size].reshape(*shape, dim)
     return buffers[:count, :rows]
 
 
@@ -308,7 +314,9 @@ def evolve_scan(
     scratch, which holds nothing between a kick and the next zz
     multiply, and leaves u as it is.  The kick is bound once to the same
     two: the zz multiply writes into its entry buffer and the kick
-    leaves the result in u.
+    leaves the result in u.  The zz phase multiplies one row of u at a
+    time, each row a (D,) by (D,) product of the same floats as the
+    broadcast over the stack, and no (rows, D) copy of the phase is made.
 
     The measurement of period n, n = 0..M, writes its squared norm and
     magnetization into slot n of its row of one (len(h_values), M + 1,
@@ -336,9 +344,12 @@ def evolve_scan(
         # conj(Q) v, exactly, without a conjugated copy of Q
         _quarter_turn(np.divide, v, n, u)
         entry, kick = _bind_kick(u, scratch, n, kicks)
+        # row by row: broadcast over an 8-row 1x12 stack, 39 to 44 us against 29 to 30
+        rows = list(zip(u, entry))
         measure(out[:, 0])
         for step in range(1, periods + 1):
-            np.multiply(op.zz_phase, u, out=entry)
+            for state, into in rows:
+                np.multiply(op.zz_phase, state, out=into)
             kick()
             measure(out[:, step])
     record.setflags(write=False)

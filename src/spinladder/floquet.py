@@ -13,11 +13,13 @@ frame, exp(-i theta X) = S exp(i theta Y) S^dagger with S = diag(1, i).
 rotate_x_all_sites divides by the exact quarter-turn phase
 i**popcount(b) of each basis state b, one cached factor for the high
 and one for the low bits, each of O(2**(N/2)) entries, runs the real
-kernel (one matmul per group of KICK_BLOCK_SITES sites with the cached
-kron power of exp(i theta Y) on the float64 view of the state,
+kernel (one matmul per group of KICK_BLOCK_SITES = 3 sites with the
+cached kron power of exp(i theta Y) on the float64 view of the state,
 alternating with a scratch buffer and ending in the state), and
-multiplies the two factors back, O(2**N * 2**KICK_BLOCK_SITES) per
-period.  The kernel takes one angle for every state or one angle
+multiplies the two factors back.  The lowest group's block is the
+16 x 16 kron(R^3, I2) and every upper group's the 8 x 8 R^3, so a kick
+costs at most 16 + 8 (ceil(N / 3) - 1) multiply-adds per float: 40 at
+12 sites.  The kernel takes one angle for every state or one angle
 per row of a stack; its blocks are cached per tuple of angles, stacked
 along a leading row axis, with the lowest group's block stored
 transposed so that its gemm runs NN.  Every gemm stays below
@@ -26,9 +28,11 @@ as for one state, so the kick runs on the calling thread and a row's
 result does not depend on the other rows.  The phases commute with
 U_zz, so a caller that propagates many periods (dynamics.evolve_scan,
 one row per kick field) stays in the real frame, binds the kernel to
-buffers it owns once and then calls it alone.  apply() also takes a
-stack of states, and that is how the spectrum reads U: the symmetry
-blocks are projected from U applied to the orbit representatives.
+buffers it owns once, and each period multiplies the zz phase into the
+kernel's entry buffer one row at a time and calls the kernel alone.
+apply() also takes a stack of states, and that is how the spectrum
+reads U: the symmetry blocks are projected from U applied to the orbit
+representatives.
 
 Quasienergies are eps = -arg(lambda) / T folded into (-pi/T, pi/T].
 The spectrum is computed sector by sector: the global spin flip and, per
@@ -75,14 +79,35 @@ MIRROR_ANGLE = (math.sqrt(5) - 1) / 2
 #: a unit-circle distance of at most 2, keeps a residual at RESIDUAL_TOL/100
 CLUSTER_GAP = 200 * np.finfo(float).eps / RESIDUAL_TOL
 
-#: sites per kron block of the matrix-free kick (rotate_x_all_sites)
-KICK_BLOCK_SITES = 4
+#: sites per kron block of the matrix-free kick (rotate_x_all_sites).
+#: The lowest group's block is 2**(w + 1) square and the others 2**w, so
+#: w = 3 costs 40 multiply-adds per float at 12 sites, where w = 4 cost
+#: 64.  One untilted kick of a stack of 8 rows, or of the
+#: max(1, 2**16 // D) rows of an evolve_scan stack where that is fewer,
+#: on 64-byte aligned buffers at one OpenBLAS thread, in us: the range
+#: over three processes of the best of 7 runs (2-vCPU Xeon, OpenBLAS
+#: 0.3.31):
+#:
+#:     sites  rows  w = 3         w = 4
+#:         8     8  7.4-7.7       6.7-7.5
+#:        10     8  26-27         25-27
+#:        12     8  90-94         109-112
+#:        14     4  262-294       267-292
+#:        16     1  294-339       272-332
+#:        20     1  9510-10150    10510-11120
+#:
+#: From 14 sites on a stack is 1 MiB or more and the kick is bound by
+#: memory more than by multiply-adds; at 16 sites w = 3 makes six passes
+#: over the state, the last with 2 x 2 blocks, against four for w = 4
+KICK_BLOCK_SITES = 3
 
 #: multiply-adds per gemm of the kick; every gemm is cut into row or
 #: column stacks of at most this size (a power of two), below the size
-#: from which OpenBLAS starts a second thread.  The cut also keeps the
-#: kick fast at one thread: uncut and pinned to one thread, a tilted
-#: 1x16 evolution ran 20 to 30 % slower
+#: from which OpenBLAS starts a second thread: with 3-site groups, at
+#: most 512 rows times the 16 x 16 lowest block, and the 8 x 8 upper
+#: blocks times at most 2048 columns.  The cut also keeps the kick fast
+#: at one thread: uncut and pinned to one thread, a tilted 1x16
+#: evolution ran 20 to 30 % slower with 4-site blocks
 KICK_GEMM_MACS = 1 << 17
 
 #: amplitudes of the stack of unit vectors that diagonalize applies U to
@@ -151,7 +176,9 @@ def _kick_blocks(angle: float, n_sites: int) -> tuple[np.ndarray, ...]:
     A group of w sites takes R^w, the 2**w x 2**w kron power of
     exp(i * angle * Y) = [[c, s], [-s, c]].  The lowest group acts on
     the float64 view of the amplitudes, whose (re, im) pairs double the
-    axis, so its block is kron(R^w, I2).
+    axis, so its block is kron(R^w, I2): 16 x 16 for a full group of
+    three sites, against 8 x 8 for each upper group.  Only the last
+    group is narrower, when KICK_BLOCK_SITES does not divide n_sites.
     """
     c = math.cos(angle)
     s = math.sin(angle)
@@ -238,17 +265,18 @@ def _bind_kick(
     is odd and ``state`` when it is even; each call of ``kick`` then
     overwrites both buffers and leaves the result in ``state``, so a
     caller that kicks the same buffers every period binds the matmul
-    operands once.  Sites are taken in groups of KICK_BLOCK_SITES (the
-    last group may be narrower).  Group [k, k + w) multiplies the axis
-    of bits k..k+w-1 by its cached real block, writing into the other
-    buffer, so the kick costs O(2**N * 2**KICK_BLOCK_SITES) time per
-    vector and allocates nothing.  The lowest group interleaves real and
-    imaginary parts and multiplies stacks of rows; upper groups multiply
-    stacks of columns.  Every gemm is cut, by the vector length alone,
-    to at most KICK_GEMM_MACS multiply-adds, which OpenBLAS runs on the
-    calling thread, so each output is one inner product of length 2**w
-    or 2**(w + 1) whatever the thread count, the stack size or the
-    angles of the other rows.
+    operands once.  Sites are taken in groups of KICK_BLOCK_SITES = 3
+    (the last group may be narrower).  Group [k, k + w) multiplies the
+    axis of bits k..k+w-1 by its cached real block, writing into the
+    other buffer.  Per float, the lowest group costs 2**(w + 1)
+    multiply-adds and each upper group 2**w, 40 in all on 12 sites, and
+    the kick allocates nothing.  The lowest group interleaves real and
+    imaginary parts and multiplies stacks of rows by its 16 x 16 block;
+    upper groups multiply stacks of columns by their 8 x 8 blocks.  Every gemm is cut, by the vector
+    length alone, to at most KICK_GEMM_MACS multiply-adds, which
+    OpenBLAS runs on the calling thread, so each output is one inner
+    product of length 2**w or 2**(w + 1) whatever the thread count, the
+    stack size or the angles of the other rows.
 
     Given ``source``, a contiguous array shaped like ``state``, the
     first site group reads it instead of ``entry`` and never writes it,

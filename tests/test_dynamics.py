@@ -371,6 +371,24 @@ def test_measurement_after_scan_allocates_no_state_buffer(axis):
     assert peak < 16 * state.size, f"traced peak {peak} bytes"
 
 
+def test_alternating_requests_keep_one_workspace():
+    """On the 1x15 chain an untilted two-row scan asks for 2 buffers of
+    2 rows and a tilted measurement for 3 buffers of 1 row.  The first
+    alternation leaves a workspace that covers both, so in the second
+    neither call allocates a buffer of D complex values (0.5 MiB)."""
+    lat = make_lattice(1, 15)
+    op = build_floquet(lat, DriveParams.from_pi_over_t(0.05, 0.6, 0.8, 2.0))
+    state = prepare_state(lat, one_flip(15, 3))
+    calls = (
+        lambda: evolve_scan(op, (0.5, 0.6), state, 2),
+        lambda: measure_magnetization(state, 15, 0.4),
+    )
+    for call in calls:
+        call()
+    peaks = [traced_peak(call) for call in calls]
+    assert max(peaks) < 16 * state.size, f"traced peaks {peaks} bytes"
+
+
 def test_workspace_starts_on_a_64_byte_boundary():
     """Every fresh workspace puts u on a 64-byte boundary, which malloc
     does not promise, and a request it covers gets a view of it."""

@@ -64,7 +64,7 @@ def test_rotate_x_single_site_matrix():
         np.testing.assert_allclose(v, expected_mat[:, basis_index], atol=1e-15)
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 4])
+@pytest.mark.parametrize("width", range(1, KICK_BLOCK_SITES + 1))
 def test_real_block_conjugates_to_complex_kick(width):
     """S R^w S^dagger, S = prod_k diag(1, i), is the kron power of
     exp(-i theta X); the lowest block's float64 form multiplies by R^w."""
@@ -192,12 +192,13 @@ def kron_rows(op, rows):
 
 def test_matrix_free_matches_dense():
     """op.apply against the kron-built U, on a periodic ladder and on
-    chains of one to thirteen sites: one to four kron blocks, with and
+    chains of one to thirteen sites: one to five kron blocks, with and
     without a narrower last one, at kick angles pi/2, a generic value
-    and multiples of pi (h = 0 runs the kernel with identity blocks).  From 12 sites
-    the lowest group is a stack of gemms over rows (two at 12, eight at
-    14); at 15 and 16 sites the upper group also splits its columns into
-    four and sixteen gemms.  Past ten sites U (1 GiB at 13) is read only
+    and multiples of pi (h = 0 runs the kernel with identity blocks).
+    From 13 sites the lowest group is a stack of gemms over rows (two at
+    13, four at 14, sixteen at 16); at 15 sites the group at bit 12
+    also splits its columns into four gemms, and at 16 sites the groups
+    at bits 12 and 15 into four and two.  Past ten sites U (1 GiB at 13) is read only
     on sampled rows, from kron_rows, which equal the rows of the
     kron-built matrix bit for bit where it exists.  apply() must also
     equal the zz multiply followed by rotate_x_all_sites exactly, the

@@ -19,6 +19,7 @@ from spinladder.lattice import make_lattice
 from spinladder.majorana import (
     SpectralFunctionConfig,
     _level_clusters,
+    _member_masses,
     corner_modes,
     corner_spectral_functions,
     gamma_pbc,
@@ -274,6 +275,31 @@ def test_spectral_functions_tied_ranks_match_brute_force():
     eps = spec.quasienergies
     assert np.count_nonzero(eps[sampled] == eps[sampled + 1]) >= 3
     assert_matches_brute_force(spec, lat, config)
+
+
+@pytest.mark.parametrize("h", [0.2, 0.8])
+def test_cluster_masses_do_not_depend_on_other_clusters(h):
+    """Each sampled cluster's masses are the same bit for bit projected
+    alone, beside one other cluster, or beside every sampled cluster, as
+    corner_spectral_functions projects them.  The 4x2 torus at chi 16
+    samples clusters of 1, 2 and 24 levels, so the blocks projected take
+    every width modulo 4."""
+    lat, spec = tied_spectrum(h)
+    modes = corner_modes(lat)
+    labels = _level_clusters(spec.quasienergies, spec.period)
+    sampled = np.arange(16) * spec.dim // 16
+    clusters = [np.flatnonzero(labels == label) for label in np.unique(labels[sampled])]
+    pairs = [(clusters[i - 1], members) for i, members in enumerate(clusters)]
+    widths = {c.size for c in clusters} | {a.size + b.size for a, b in pairs}
+    assert {w % 4 for w in widths} == {0, 1, 2, 3}
+    together = np.concatenate(clusters)
+    rows = np.split(np.arange(together.size), np.cumsum([c.size for c in clusters])[:-1])
+    every = list(_member_masses(spec, modes, together))
+    for i, (other, members) in enumerate(pairs):
+        beside = list(_member_masses(spec, modes, np.concatenate([other, members])))
+        for alone, pair, full in zip(_member_masses(spec, modes, members), beside, every):
+            assert np.array_equal(alone, pair[other.size:])
+            assert np.array_equal(alone, full[rows[i]])
 
 
 def rotate_clusters(spec, seed):

@@ -188,9 +188,9 @@ def resolve_config(command: str, file_config: dict | None, overrides: dict) -> d
 
     Returns a plain-JSON dict with blocks lattice/drive/task/output.  The
     result round-trips through json unchanged and is what gets embedded
-    in output headers.
+    in output headers.  None stands for no config file.
     """
-    file_config = file_config or {}
+    file_config = {} if file_config is None else file_config
     if not isinstance(file_config, dict):
         raise ConfigError("config file must contain a JSON object")
     # a deep copy, so editing the result's lists leaves the defaults alone
@@ -582,6 +582,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ConfigError(f"cannot read config file: {exc}") from exc
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            if file_config is None:  # a null body; resolve_config reads None as no file
+                raise ConfigError("config file must contain a JSON object")
         overrides = _collect_overrides(args)
         config = resolve_config(command, file_config, overrides)
         run_command(command, config)

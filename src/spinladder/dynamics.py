@@ -72,7 +72,9 @@ def one_flip(n_sites: int, position: int = 1) -> tuple[str, ...]:
     spec[position] = "down"
     return tuple(spec)
 
+
 def uniform_tilt(n_sites: int, angle: float) -> tuple[float, ...]:
+    """Per-site spec of ``n_sites`` spins, each tilted by ``angle`` radians from +z toward +y."""
     return (float(angle),) * n_sites
 
 
@@ -269,6 +271,7 @@ class MagnetizationTrace:
 
     @property
     def n_periods(self) -> int:
+        """Evolved periods M: the samples after the initial one."""
         return self.values.size - 1
 
 

@@ -158,14 +158,17 @@ class DriveParams:
 
     @property
     def theta_x(self) -> float:
+        """Leg-bond zz angle J_x T / 2."""
         return 0.5 * self.j_x * self.period
 
     @property
     def theta_y(self) -> float:
+        """Rung-bond zz angle J_y T / 2."""
         return 0.5 * self.j_y * self.period
 
     @property
     def theta_h(self) -> float:
+        """Kick angle h T / 2 of every site."""
         return 0.5 * self.h * self.period
 
 
@@ -537,6 +540,7 @@ class QuasienergySpectrum:
 
     @property
     def dim(self) -> int:
+        """Number of levels, the Hilbert-space dimension D."""
         return self.quasienergies.size
 
     def vectors(self, ranks) -> np.ndarray:
@@ -575,7 +579,11 @@ class QuasienergySpectrum:
         ``group.kept``, then turns them into eigenbasis coefficients.  The sector bases are orthonormal and
         jointly complete, so for a unitary V this is V^H x.  The
         products run on one BLAS thread, so the overlaps do not depend
-        on the thread count.
+        on the thread count.  OpenBLAS runs the last (c mod 4) columns of
+        a product through a tail kernel that rounds differently, so a
+        block whose width is not a multiple of 4 is padded with zero
+        columns, dropped from the result: a column's overlaps are then
+        the same bits whatever other columns are projected with it.
         """
         x = np.asarray(states)
         if x.ndim not in (1, 2) or x.shape[0] != self.dim:
@@ -583,6 +591,9 @@ class QuasienergySpectrum:
                 f"states must have shape ({self.dim},) or ({self.dim}, c), got {x.shape}"
             )
         block = x.reshape(self.dim, -1)
+        width = block.shape[1]
+        if width % 4:
+            block = np.pad(block, [(0, 0), (0, -width % 4)])
         group = self.group
         # gathered[g, a, c] = x[g(r_a), c]; sums[k, a, c] = sum_g chi_k(g) gathered[g, a, c]
         gathered = block[group.images[:, group.reps]]
@@ -594,7 +605,7 @@ class QuasienergySpectrum:
             norm = np.sqrt(group.order * group.stab_sums[k, keep])
             components = sums[k, keep] / norm[:, np.newaxis]
             out[ranks] = self.sector_vectors[keep[:, np.newaxis], ranks].conj().T @ components
-        return out.reshape(x.shape)
+        return out[:, :width].reshape(x.shape)
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:

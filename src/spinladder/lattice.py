@@ -83,6 +83,7 @@ class Lattice:
 
     @property
     def n_sites(self) -> int:
+        """Number of spins, n_x * n_y."""
         return self.n_x * self.n_y
 
     @property

@@ -17,7 +17,6 @@ import functools
 import numbers
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -256,13 +255,13 @@ def corner_spectral_functions(
 
     Only the members of the sampled ranks' clusters are embedded in the
     full basis (spectrum.vectors); each corner string acts on that
-    D x c block, padded to a multiple of 4 columns, in one call, and
-    spectrum.overlaps projects the images onto every sector basis, which
-    gives <v_m|gamma v_c> for all m (_member_masses).  The padding makes
-    each cluster's masses the same bit for bit whichever other clusters
-    are sampled.  No D x D matrix is built.  The overlaps are the only
-    BLAS products here, and they run on one thread, so the weights do
-    not depend on the thread count.
+    D x c block in one call, and spectrum.overlaps projects the images
+    onto every sector basis, which gives <v_m|gamma v_c> for all m.
+    overlaps gives each column the same bits whatever is projected
+    beside it, so a cluster's masses do not depend on which other
+    clusters are sampled.  No D x D matrix is built.  The overlaps are
+    the only BLAS products here, and they run on one thread, so the
+    weights do not depend on the thread count.
     """
     dim = spectrum.dim
     config.check(dim, spectrum.period)
@@ -282,8 +281,11 @@ def corner_spectral_functions(
     in_zero = np.abs(gaps) <= config.window
     in_pi = (w - np.abs(gaps)) <= config.window
 
+    vecs = spectrum.vectors(members)
     out = []
-    for member_masses in _member_masses(spectrum, corner_modes(lattice), members):
+    for mode in corner_modes(lattice):
+        # row c for each member c, column m for every rank m
+        member_masses = np.abs(spectrum.overlaps(mode.apply(vecs)).T) ** 2
         # (chi, dim): row n, column m, each row the mean over its cluster
         masses = (np.add.reduceat(member_masses, starts) / sizes)[row]
         total = masses.sum()
@@ -296,26 +298,6 @@ def corner_spectral_functions(
         spi_1=float(out[0][1]),
         spi_2=float(out[1][1]),
     )
-
-
-def _member_masses(
-    spectrum: QuasienergySpectrum, modes: Iterable[PauliString], members: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Yield, per operator of ``modes``, the (members, dim) array of
-    |<v_m|gamma v_c>|^2: row c for each rank c of ``members``, column m
-    for every rank m.
-
-    The members' vectors are embedded in a block padded with zero
-    columns to a multiple of 4.  OpenBLAS runs the last (c mod 4)
-    columns of the zgemm in spectrum.overlaps through a tail kernel that
-    rounds differently, so unpadded, a member's masses would move in
-    their last bits with the number of members projected beside it;
-    padded, they are the same bit for bit.
-    """
-    vecs = np.zeros((spectrum.dim, -(-members.size // 4) * 4), dtype=complex)
-    vecs[:, :members.size] = spectrum.vectors(members)
-    for mode in modes:
-        yield np.abs(spectrum.overlaps(mode.apply(vecs))[:, :members.size].T) ** 2
 
 
 def _level_clusters(quasienergies: np.ndarray, period: float) -> np.ndarray:

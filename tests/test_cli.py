@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinladder import cli, dynamics
+from spinladder import cli, dynamics, floquet
 from spinladder.dynamics import (
     evolve_stroboscopic,
     one_flip,
@@ -30,6 +30,7 @@ from spinladder.floquet import (
     diagonalize,
     spacing_stats,
 )
+from spinladder.floquet import _unitary_eig
 from spinladder.lattice import make_lattice
 from spinladder.majorana import SpectralFunctionConfig, corner_spectral_functions
 from spinladder.transfer1d import classify_phase, transfer_matrix
@@ -373,12 +374,14 @@ def test_json_without_command_or_config_is_config_error(tmp_path, document):
     ("doc.json", '{"command": "bogus", "config": {}}'),
     ("doc.json", '{"command": 3, "config": {}}'),
     ("doc.json", '{"command": ["spectrum"], "config": {}}'),
+    ("table.csv", "size,min_dev,max_dev\n2x2,0.0,0.1\n"),
 ], ids=["json-invalid", "csv-invalid", "json-not-object", "csv-not-object",
-        "json-unknown-command", "json-int-command", "json-list-command"])
+        "json-unknown-command", "json-int-command", "json-list-command", "csv-no-header"])
 def test_malformed_emitted_config_is_config_error(tmp_path, name, text):
     """A header config that is not valid JSON, or not a JSON object, or
-    a command that is not a subcommand, raises ConfigError naming the
-    file, not a bare decode error or a KeyError."""
+    a command that is not a subcommand, or a CSV without the header,
+    raises ConfigError naming the file, not a bare decode error or a
+    KeyError."""
     path = tmp_path / name
     path.write_text(text)
     with pytest.raises(cli.ConfigError, match=re.escape(str(path))):
@@ -530,7 +533,7 @@ def test_each_flag_lands_under_its_config_key(
     assert value == expected and type(value) is type(expected)
 
 
-def test_exit_codes(tmp_path, monkeypatch):
+def test_exit_codes(tmp_path):
     out = tmp_path / "x.csv"
     # no output path anywhere
     assert cli.main(["spectrum", "--nx", "1", "--ny", "2"]) == 2
@@ -600,13 +603,81 @@ def test_exit_codes(tmp_path, monkeypatch):
     # spectrum above the dense size cap
     assert cli.main(["spectrum", "--out", str(out), "--nx", "1", "--ny", "15"]) == 3
 
-    def explode(config):
-        """Surrogate handler that reports a tolerance failure."""
-        raise NumericalToleranceError("synthetic drift")
 
-    row = cli._COMMANDS["spectrum"]._replace(run=explode)
-    monkeypatch.setitem(cli._COMMANDS, "spectrum", row)
+@pytest.mark.parametrize("argv, body, message", [
+    (["scan", "--h-values", "0.5,abc"], None, "bad numeric list '0.5,abc'"),
+    (["spacing-table", "--sizes", "2xq"], None, "bad size '2xq'"),
+    (["spectrum"], '{"output": {"format": "xml"}}', "output.format must be one of ('csv', 'json')"),
+    (["spectrum"], '{"extra": {}}', "unknown top-level key(s): extra"),
+    (["spectrum"], '{"drive": 5}', "config block 'drive' must be an object"),
+    (["dynamics"], '{"task": {"init": 5}}', "init spec must be a string or list, got 5"),
+    (["dynamics", "--init", "flip:x"], None, "bad flip position in 'flip:x'"),
+    (["dynamics", "--init", "tilt:x"], None, "bad tilt angle in 'tilt:x'"),
+    (["spectrum", "--config", "missing.json"], None, "cannot read config file"),
+    # a falsy JSON value is refused like any other non-object, not read as no config
+    *((["phase1d"], body, "config file must contain a JSON object")
+      for body in ("[1]", "[]", "0", "false", '""', "null")),
+], ids=["float-list", "size", "format", "top-level-key", "block-not-object", "init-not-string",
+        "flip-position", "tilt-angle", "missing-config",
+        "config-[1]", "config-[]", "config-0", "config-false", "config-empty-string", "config-null"])
+def test_config_error_exits_2_with_message(tmp_path, monkeypatch, capsys, argv, body, message):
+    """Each malformed flag, config file or config value stops before any
+    artifact is written, with exit 2 and a message that names it."""
+    monkeypatch.chdir(tmp_path)
+    if body is not None:
+        (tmp_path / "config.json").write_text(body)
+        argv = [*argv, "--config", "config.json"]
+    assert cli.main([*argv, "--nx", "1", "--ny", "2", "--out", "out.csv"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_sizes_skip_empty_entries(tmp_path):
+    out = tmp_path / "table.csv"
+    assert cli.main(["spacing-table", "--out", str(out), "--sizes", "2x2,,1x4"]) == 0
+    assert [r[0] for r in read_csv(out)[2]] == ["2x2", "1x4"]
+
+
+def drifting_eig(kind):
+    """floquet._unitary_eig with the first eigenvalue's modulus moved by
+    2e-10, or the first residual set to 2e-10: twice RESIDUAL_TOL."""
+
+    def eig(block):
+        lam, vecs, residuals = _unitary_eig(block)
+        if kind == "modulus":
+            lam[0] *= 1.0 + 2e-10
+        else:
+            residuals[0] = 2e-10
+        return lam, vecs, residuals
+
+    return eig
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("modulus", "eigenvalue modulus deviates from 1 by 2.000e-10 in sector 0"),
+    ("residual", "worst eigenpair residual 2.000e-10 exceeds 1.0e-10 in sector 0"),
+])
+def test_diagonalize_guards_fail_every_caller(tmp_path, monkeypatch, capsys, kind, message):
+    """diagonalize refuses a block whose eigenvalue leaves the unit
+    circle or whose residual passes RESIDUAL_TOL and names its sector;
+    spacing-table notes the failure for each size and still exits 0,
+    and spectrum exits 4."""
+    monkeypatch.setattr(floquet, "_unitary_eig", drifting_eig(kind))
+    with pytest.raises(NumericalToleranceError) as failure:
+        diagonalize(build_floquet(make_lattice(1, 2), DriveParams(0.3, 0.5, 0.7, 2.0)))
+    assert str(failure.value) == message
+
+    out = tmp_path / "table.csv"
+    assert cli.main(["spacing-table", "--out", str(out), "--sizes", "2x2,1x4"]) == 0
+    comments, _, rows = read_csv(out)
+    assert comments[3:] == [f"# {size} failed: {message}" for size in ("2x2", "1x4")]
+    assert rows == []
+
+    capsys.readouterr()
+    out = tmp_path / "spec.csv"
     assert cli.main(["spectrum", "--out", str(out), "--nx", "1", "--ny", "2"]) == 4
+    assert capsys.readouterr().err == f"spinladder spectrum: numerical tolerance: {message}\n"
+    assert not out.exists()
 
 
 def rows_at_blas_threads(tmp_path, argv, artifact):

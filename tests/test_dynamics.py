@@ -280,9 +280,10 @@ def test_scan_rows_equal_single_evolutions_bit_for_bit(lat):
     """Each row of a stacked scan runs gemms of the sizes a single
     evolution runs, with its own kick angle, so its trace and norm drift
     equal evolve_stroboscopic of the operator built at its h exactly.
-    The chains give one to five groups of sites, a narrower last group
-    at N % 4 != 0; h = 0 rows take identity blocks, inside a stack and
-    in a stack of their own, raw h = pi is the kick angle pi/2."""
+    The 1- to 17-site chains give one to six groups of sites, a
+    narrower last group at N % 3 != 0; h = 0 rows take identity blocks,
+    inside a stack and in a stack of their own, raw h = pi is the kick
+    angle pi/2."""
     n = lat.n_sites
     periods = 6 if n >= 12 else 24
     state = prepare_state(lat, uniform_tilt(n, math.pi / 4))

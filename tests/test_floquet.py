@@ -690,6 +690,27 @@ def test_overlaps_peak_stays_near_two_blocks():
     assert peak <= 2.75 * block.nbytes, f"traced peak {peak / block.nbytes:.2f} blocks"
 
 
+@pytest.mark.parametrize(
+    "n_x,n_y,bc",
+    [(4, 2, "periodic"), (3, 2, "open"), (1, 8, "open"), (6, 2, "open"),
+     (1, 10, "open-periodic"), (1, 12, "open-periodic")],
+)
+def test_overlaps_column_bits_do_not_depend_on_block_width(n_x, n_y, bc):
+    """Each column's overlaps are the same bits projected alone and as
+    one of the first w columns of a block, for widths w of every
+    residue modulo 4 from 1 to 64."""
+    bc_x, bc_y = BOUNDARIES[bc]
+    lat = make_lattice(n_x, n_y, bc_x=bc_x, bc_y=bc_y, dedup_coincident_bonds=False)
+    spec = diagonalize(build_floquet(lat, DriveParams(j_x=0.35, j_y=0.8, h=0.95, period=2.0)))
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(lat.dim, 64)) + 1j * rng.normal(size=(lat.dim, 64))
+    alone = np.stack([spec.overlaps(states[:, j]) for j in range(64)], axis=1)
+    for width in [*range(1, 10), 16, 17, 33, 64]:
+        got = spec.overlaps(states[:, :width])
+        assert got.shape == (lat.dim, width)
+        assert np.array_equal(got, alone[:, :width]), f"width {width}"
+
+
 def test_identity_drive_spectrum_is_zero():
     lat = make_lattice(2, 2)
     params = DriveParams(j_x=0.0, j_y=0.0, h=0.0, period=2.0)

@@ -19,7 +19,6 @@ from spinladder.lattice import make_lattice
 from spinladder.majorana import (
     SpectralFunctionConfig,
     _level_clusters,
-    _member_masses,
     corner_modes,
     corner_spectral_functions,
     gamma_pbc,
@@ -277,6 +276,14 @@ def test_spectral_functions_tied_ranks_match_brute_force():
     assert_matches_brute_force(spec, lat, config)
 
 
+def member_masses(spec, modes, members):
+    """Per corner string, |<v_m|gamma v_c>|^2 with row c for each rank c
+    of ``members`` and column m for every rank m, computed as
+    corner_spectral_functions computes it."""
+    vecs = spec.vectors(members)
+    return [np.abs(spec.overlaps(mode.apply(vecs)).T) ** 2 for mode in modes]
+
+
 @pytest.mark.parametrize("h", [0.2, 0.8])
 def test_cluster_masses_do_not_depend_on_other_clusters(h):
     """Each sampled cluster's masses are the same bit for bit projected
@@ -294,10 +301,10 @@ def test_cluster_masses_do_not_depend_on_other_clusters(h):
     assert {w % 4 for w in widths} == {0, 1, 2, 3}
     together = np.concatenate(clusters)
     rows = np.split(np.arange(together.size), np.cumsum([c.size for c in clusters])[:-1])
-    every = list(_member_masses(spec, modes, together))
+    every = list(member_masses(spec, modes, together))
     for i, (other, members) in enumerate(pairs):
-        beside = list(_member_masses(spec, modes, np.concatenate([other, members])))
-        for alone, pair, full in zip(_member_masses(spec, modes, members), beside, every):
+        beside = list(member_masses(spec, modes, np.concatenate([other, members])))
+        for alone, pair, full in zip(member_masses(spec, modes, members), beside, every):
             assert np.array_equal(alone, pair[other.size:])
             assert np.array_equal(alone, full[rows[i]])
 

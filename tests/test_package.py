@@ -1,6 +1,8 @@
 """The public surface of the package."""
 
+import functools
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -64,3 +66,30 @@ def test_make_lattice_is_the_lattice_class():
 
     assert make_lattice is Lattice
     assert make_lattice(1, 4) == Lattice(n_x=1, n_y=4, bc_x="open", bc_y="open")
+
+
+def undocumented(name, obj):
+    """Qualified names of ``obj`` and of its own public methods and
+    properties that have no docstring; a value that is neither a
+    function nor a class has none to give."""
+    if inspect.isfunction(obj):
+        return [] if obj.__doc__ else [name]
+    if not inspect.isclass(obj):
+        return []
+    missing = [] if obj.__doc__ else [name]
+    for attr, value in vars(obj).items():
+        if attr.startswith("_"):
+            continue
+        if isinstance(value, (staticmethod, classmethod)):
+            value = value.__func__
+        if isinstance(value, (property, functools.cached_property)) or inspect.isfunction(value):
+            if not value.__doc__:
+                missing.append(f"{name}.{attr}")
+    return missing
+
+
+def test_every_public_name_has_a_docstring():
+    """Every function and class of __all__, and every public method and
+    property a class defines, says what it is."""
+    missing = [m for name in spinladder.__all__ for m in undocumented(name, getattr(spinladder, name))]
+    assert missing == []

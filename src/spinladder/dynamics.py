@@ -183,7 +183,7 @@ def _bind_measure(
     measured, tilt = u, None
     if axis != 0.0:
         measured = rotated
-        _, tilt = _bind_kick(measured, scratch, n_sites, 0.5 * axis, source=u)
+        _, tilt = _bind_kick(measured, scratch, n_sites, (0.5 * axis,), source=u)
     low, high = _zsum_tables(n_sites)
     size = low.shape[0]
     chunks = 2 * dim // size

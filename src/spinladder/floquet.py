@@ -19,9 +19,9 @@ alternating with a scratch buffer and ending in the state), and
 multiplies the two factors back.  The lowest group's block is the
 16 x 16 kron(R^3, I2) and every upper group's the 8 x 8 R^3, so a kick
 costs at most 16 + 8 (ceil(N / 3) - 1) multiply-adds per float: 40 at
-12 sites.  The kernel takes one angle for every state or one angle
-per row of a stack; its blocks are cached per tuple of angles, stacked
-along a leading row axis, with the lowest group's block stored
+12 sites.  _kick_blocks alone decides the site groups; it caches their
+blocks per tuple of angles (one for every state, or one per row of a
+stack) and site count, stacked along a leading row axis, the lowest
 transposed so that its gemm runs NN.  Every gemm stays below
 KICK_GEMM_MACS multiply-adds and has the same size for a row of a stack
 as for one state, so the kick runs on the calling thread and a row's
@@ -172,9 +172,10 @@ class DriveParams:
         return 0.5 * self.h * self.period
 
 
-def _kick_blocks(angle: float, n_sites: int) -> tuple[np.ndarray, ...]:
-    """The real blocks of the kick kernel, one per group of
-    KICK_BLOCK_SITES sites, lowest group first.
+@functools.lru_cache(maxsize=32)
+def _kick_blocks(angles: tuple[float, ...], n_sites: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """The real blocks of the kick kernel: one (lowest site, block) pair
+    per group of KICK_BLOCK_SITES sites, lowest group first.
 
     A group of w sites takes R^w, the 2**w x 2**w kron power of
     exp(i * angle * Y) = [[c, s], [-s, c]].  The lowest group acts on
@@ -182,33 +183,29 @@ def _kick_blocks(angle: float, n_sites: int) -> tuple[np.ndarray, ...]:
     axis, so its block is kron(R^w, I2): 16 x 16 for a full group of
     three sites, against 8 x 8 for each upper group.  Only the last
     group is narrower, when KICK_BLOCK_SITES does not divide n_sites.
+    Each block stacks one row per angle along a leading axis, shaped to
+    broadcast against the kernel's operands, and is read-only; the
+    lowest is stored transposed and contiguous, so its gemm (rows of
+    amplitudes times the block's transpose) runs NN.  Cached: the kick
+    angles are fixed per evolution and the measurement angle per axis,
+    and the blocks cost more to build than a kick.
     """
-    c = math.cos(angle)
-    s = math.sin(angle)
-    powers = [np.ones((1, 1))]
-    for _ in range(min(KICK_BLOCK_SITES, n_sites)):
-        powers.append(np.kron(powers[-1], np.array([[c, s], [-s, c]])))
-    widths = [min(KICK_BLOCK_SITES, n_sites - k) for k in range(0, n_sites, KICK_BLOCK_SITES)]
-    return (np.kron(powers[widths[0]], np.eye(2)), *(powers[w] for w in widths[1:]))
-
-
-@functools.lru_cache(maxsize=32)
-def _stacked_blocks(angles: tuple[float, ...], n_sites: int) -> tuple[np.ndarray, ...]:
-    """_kick_blocks of each angle, stacked along a leading row axis and
-    shaped to broadcast against the kernel's operands.
-
-    The lowest group's block is stored transposed and contiguous, so its
-    gemm (rows of amplitudes times the block's transpose) runs NN.
-    Cached per tuple of angles: the kick angles are fixed per evolution
-    and the measurement angle per axis, and the blocks cost more to build
-    than a kick.
-    """
-    groups = zip(*(_kick_blocks(angle, n_sites) for angle in angles))
-    lowest = np.stack(next(groups)).swapaxes(1, 2).copy()[:, np.newaxis]
-    blocks = (lowest, *(np.stack(group)[:, np.newaxis, np.newaxis] for group in groups))
+    sites = range(0, n_sites, KICK_BLOCK_SITES)
+    widths = [min(KICK_BLOCK_SITES, n_sites - k) for k in sites]
+    rows = []
+    for angle in angles:
+        c = math.cos(angle)
+        s = math.sin(angle)
+        powers = [np.ones((1, 1))]
+        for _ in range(widths[0]):
+            powers.append(np.kron(powers[-1], np.array([[c, s], [-s, c]])))
+        rows.append((np.kron(powers[widths[0]], np.eye(2)), *(powers[w] for w in widths[1:])))
+    lowest, *upper = (np.stack(group) for group in zip(*rows))
+    lowest = lowest.swapaxes(1, 2).copy()[:, np.newaxis]
+    blocks = (lowest, *(block[:, np.newaxis, np.newaxis] for block in upper))
     for block in blocks:
         block.setflags(write=False)
-    return blocks
+    return tuple(zip(sites, blocks))
 
 
 @functools.lru_cache(maxsize=8)
@@ -255,28 +252,29 @@ def _bind_kick(
     state: np.ndarray,
     scratch: np.ndarray,
     n_sites: int,
-    angle: float | tuple[float, ...],
+    angles: tuple[float, ...],
     source: np.ndarray | None = None,
 ) -> tuple[np.ndarray, Callable[[], None]]:
     """Bind the real kron power of exp(i * angle * Y) to the complex,
     contiguous ``state`` (one vector or a stack of vectors along the
     last axis) and ``scratch``; return ``(entry, kick)``.
 
-    ``angle`` is one angle for every vector or a tuple with one angle
-    per row of an (m, D) stack.  The caller writes the kernel's input
-    into ``entry``, which is ``scratch`` when the number of site groups
-    is odd and ``state`` when it is even; each call of ``kick`` then
+    ``angles`` is a tuple: one angle for every vector, or one angle per
+    row of an (m, D) stack.  The caller writes the kernel's input into
+    ``entry``, which is ``scratch`` when the number of site groups is
+    odd and ``state`` when it is even; each call of ``kick`` then
     overwrites both buffers and leaves the result in ``state``, so a
     caller that kicks the same buffers every period binds the matmul
-    operands once.  Sites are taken in groups of KICK_BLOCK_SITES = 3
-    (the last group may be narrower).  Group [k, k + w) multiplies the
-    axis of bits k..k+w-1 by its cached real block, writing into the
-    other buffer.  Per float, the lowest group costs 2**(w + 1)
-    multiply-adds and each upper group 2**w, 40 in all on 12 sites, and
-    the kick allocates nothing.  The lowest group interleaves real and
-    imaginary parts and multiplies stacks of rows by its 16 x 16 block;
-    upper groups multiply stacks of columns by their 8 x 8 blocks.  Every gemm is cut, by the vector
-    length alone, to at most KICK_GEMM_MACS multiply-adds, which
+    operands once.  The site groups and their blocks are those of
+    _kick_blocks.  Group [k, k + w) multiplies the axis of bits
+    k..k+w-1 by its cached real block, writing into the other buffer.
+    Per float, the lowest group costs 2**(w + 1) multiply-adds and each
+    upper group 2**w, 40 in all on 12 sites, and the kick allocates
+    nothing.  The lowest group interleaves real and imaginary parts and
+    multiplies stacks of rows by its 16 x 16 block; upper groups
+    multiply stacks of columns by their 8 x 8 blocks.  Every gemm is
+    cut, by the vector length alone, to at most KICK_GEMM_MACS
+    multiply-adds, which
     OpenBLAS runs on the calling thread, so each output is one inner
     product of length 2**w or 2**(w + 1) whatever the thread count, the
     stack size or the angles of the other rows.
@@ -286,15 +284,14 @@ def _bind_kick(
     so a caller kicks a state that it must keep without first copying
     it into ``entry``.
     """
-    angles = angle if isinstance(angle, tuple) else (angle,)
     # with one angle the whole stack folds into the batch axis
     lead = len(angles)
-    blocks = _stacked_blocks(angles, n_sites)
+    blocks = _kick_blocks(angles, n_sites)
     # the groups alternate between the buffers, so the last one writes state
     src, dst = (scratch, state) if len(blocks) % 2 else (state, scratch)
     entry = src
     products = []
-    for k, block in zip(range(0, n_sites, KICK_BLOCK_SITES), blocks):
+    for k, block in blocks:
         read = source if k == 0 and source is not None else src
         x, y = read.view(np.float64), dst.view(np.float64)
         size = block.shape[-1]
@@ -330,7 +327,7 @@ def rotate_x_all_sites(state: np.ndarray, n_sites: int, angle: float) -> np.ndar
     angle 0 the kernel's blocks are identities, so every amplitude keeps
     its value.
     """
-    entry, kick = _bind_kick(state, np.empty_like(state), n_sites, angle)
+    entry, kick = _bind_kick(state, np.empty_like(state), n_sites, (angle,))
     _quarter_turn(np.divide, state, n_sites, entry)
     kick()
     return _quarter_turn(np.multiply, state, n_sites, state)

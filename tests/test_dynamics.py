@@ -651,6 +651,47 @@ def test_evolution_independent_of_blas_threads():
     assert traces["1"] == traces["2"]
 
 
+ONE_THREAD_RAISES_SCRIPT = """
+import numpy as np
+from spinladder import _blas, floquet
+from spinladder.floquet import DriveParams, NumericalToleranceError, build_floquet, diagonalize
+from spinladder.lattice import make_lattice
+
+def counts():
+    return " ".join(str(get_threads()) for _, get_threads, _ in _blas._thread_controls())
+
+print(counts())
+op = build_floquet(make_lattice(1, 2), DriveParams(0.3, 0.5, 0.7, 2.0))
+spectrum = diagonalize(op)
+unitary_eig = floquet._unitary_eig
+
+def drifting_eig(block):
+    lam, vecs, residuals = unitary_eig(block)
+    residuals[0] = 2e-10
+    return lam, vecs, residuals
+
+floquet._unitary_eig = drifting_eig
+try:
+    diagonalize(op)
+except NumericalToleranceError:
+    print("NumericalToleranceError", counts())
+try:
+    spectrum.overlaps(np.zeros(spectrum.dim + 1))
+except ValueError:
+    print("ValueError", counts())
+"""
+
+
+def test_one_thread_restores_the_count_when_its_body_raises():
+    """_blas.one_thread puts every OpenBLAS build back at the count it
+    found when its body raises: diagonalize's residual guard and the
+    shape check of overlaps, in a child started at two threads."""
+    start, *after = run_at_blas_threads(ONE_THREAD_RAISES_SCRIPT).splitlines()
+    if set(start.split()) != {"2"}:
+        pytest.skip(f"the child starts OpenBLAS at {start!r} threads")
+    assert after == [f"NumericalToleranceError {start}", f"ValueError {start}"]
+
+
 def test_corner_scan_stays_on_one_core():
     """A warmed 4x2 corner scan (diagonalize and the corner weights, 27
     h values) never wakes the second OpenBLAS thread."""

@@ -74,7 +74,7 @@ def test_real_block_conjugates_to_complex_kick(width):
     for _ in range(width):
         complex_block = np.kron(complex_block, [[c, -1j * s], [-1j * s, c]])
     # an upper group of ``width`` sites takes R^w itself
-    real = _kick_blocks(theta, KICK_BLOCK_SITES + width)[1]
+    real = _kick_blocks((theta,), KICK_BLOCK_SITES + width)[1][1][0, 0, 0]
     assert real.dtype == np.float64
     phase = np.array([1, 1j, -1, -1j])[np.bitwise_count(np.arange(1 << width)) % 4]
     conjugated = phase[:, np.newaxis] * real * phase.conj()[np.newaxis, :]
@@ -82,10 +82,42 @@ def test_real_block_conjugates_to_complex_kick(width):
 
     rng = np.random.default_rng(width)
     v = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
-    (interleaved,) = _kick_blocks(theta, width)
+    (interleaved,) = (block[0, 0].T for _, block in _kick_blocks((theta,), width))
     assert interleaved.shape == (2 << width, 2 << width)
     got = (interleaved @ v.view(np.float64)).view(complex)
     np.testing.assert_allclose(got, real @ v, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("angles", [(0.81,), (0.81, -0.3)])
+def test_kick_blocks_tile_the_sites(angles):
+    """_kick_blocks cuts 1 to 20 sites into groups of KICK_BLOCK_SITES
+    from site 0 up, only the last one narrower.  Each row of the lowest
+    block is kron(R^w, I2) transposed and each row of an upper block is
+    R^w, bit for bit; the blocks are read-only and cached."""
+    rows = len(angles)
+    for n in range(1, 21):
+        table = _kick_blocks(angles, n)
+        assert [k for k, _ in table] == list(range(0, n, KICK_BLOCK_SITES))
+        # the lowest block acts on (re, im) pairs, one more axis of two
+        widths = [block.shape[-1].bit_length() - 1 - (k == 0) for k, block in table]
+        assert sum(widths) == n
+        assert set(widths[:-1]) <= {KICK_BLOCK_SITES}
+        for (k, block), w in zip(table, widths):
+            assert not block.flags.writeable
+            dim = 1 << w
+            for row, angle in zip(block, angles):
+                c, s = math.cos(angle), math.sin(angle)
+                power = np.ones((1, 1))
+                for _ in range(w):
+                    power = np.kron(power, np.array([[c, s], [-s, c]]))
+                if k == 0:
+                    assert block.shape == (rows, 1, 2 * dim, 2 * dim)
+                    assert block.flags.c_contiguous
+                    assert np.array_equal(row[0], np.kron(power, np.eye(2)).T)
+                else:
+                    assert block.shape == (rows, 1, 1, dim, dim)
+                    assert np.array_equal(row[0, 0], power)
+        assert _kick_blocks(angles, n) is table
 
 
 def test_rotate_x_matches_expm():
